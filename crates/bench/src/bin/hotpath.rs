@@ -26,19 +26,22 @@ use cashmere_transport::{build_transport, Transport};
 use cashmere_vmpage::{make_twin, Frame, PagePool};
 use std::sync::Arc;
 
-/// Median ns/op over `rounds` timing rounds of `iters` calls each.
-fn bench(rounds: usize, iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut per_op: Vec<f64> = (0..rounds)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            t.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
+/// Median of `rounds` calls of `round`, each returning its ns/op.
+fn median_of(rounds: usize, round: impl FnMut() -> f64) -> f64 {
+    let mut per_op: Vec<f64> = std::iter::repeat_with(round).take(rounds).collect();
     per_op.sort_by(f64::total_cmp);
     per_op[rounds / 2]
+}
+
+/// Median ns/op over `rounds` timing rounds of `iters` calls each.
+fn bench(rounds: usize, iters: usize, mut f: impl FnMut()) -> f64 {
+    median_of(rounds, || {
+        let t = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        t.elapsed().as_nanos() as f64 / iters as f64
+    })
 }
 
 fn report(name: &str, ns: f64) {
@@ -205,11 +208,10 @@ fn main() {
     // --- deterministic parallel engine ----------------------------------
     // The det scheduler's per-operation costs (DESIGN.md §15): the horizon
     // check every read/write/compute entry pays, the coordinator's grant
-    // scan over pending gates, and the lookahead clock's advance + wakeup
-    // round trip. The checkpoint row is the one on the engine hot path —
-    // it must stay a single atomic load when the horizon is open.
+    // scan over pending gates, and a gate handed from one processor's host
+    // thread to another's. The checkpoint row is the one on the engine hot
+    // path — it must stay a single atomic load when the horizon is open.
     use cashmere_core::det::DetScheduler;
-    use cashmere_sim::HorizonClock;
     let sched = Arc::new(DetScheduler::new(32, 8, 50_000));
     let mut hvt = 0u64;
     let horizon = bench(rounds, 50_000, || {
@@ -228,17 +230,31 @@ fn main() {
     });
     report("det: coordinator grant scan (32 procs)", scan);
 
-    let hc = HorizonClock::new(50_000);
-    let mut wvt = 0u64;
-    let wakeup = bench(rounds, 50_000, || {
-        // One advance plus the sleeper's wait protocol (epoch capture +
-        // horizon re-check); the closure never fires because the advance
-        // just opened the window.
-        let end = hc.advance_past(black_box(wvt));
-        hc.wait_past(end - 1, |_| unreachable!("window just opened"));
-        wvt = end;
+    // Two processors on their own host threads take gates at the same
+    // virtual times, so every grant and every window release crosses
+    // threads: per gate, one wake of the peer's slot and one sleep on one's
+    // own. This is the scheduler's floor per gate for thread-per-processor
+    // (thread start-up is amortized over the gates).
+    const HANDOFF_GATES: u64 = 20_000;
+    let handoff = median_of(rounds, || {
+        let sched = Arc::new(DetScheduler::new(2, 2, 50_000));
+        let t = Instant::now();
+        std::thread::scope(|s| {
+            for p in 0..2 {
+                let h = sched.handle(p);
+                s.spawn(move || {
+                    h.start();
+                    for vt in 0..HANDOFF_GATES {
+                        h.gate_enter(vt);
+                        h.gate_exit(vt);
+                    }
+                    h.finish();
+                });
+            }
+        });
+        t.elapsed().as_nanos() as f64 / (2 * HANDOFF_GATES) as f64
     });
-    report("det: horizon advance + wakeup round trip", wakeup);
+    report("det: gate hand-off round trip (2 procs)", handoff);
 
     // --- workload sampling ----------------------------------------------
     // The service-trace generator's per-op path (DESIGN.md §13): one

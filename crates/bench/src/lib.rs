@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use cashmere_apps::{AppOutcome, Benchmark};
 use cashmere_core::{
-    Backend, DirectoryMode, FaultPlan, Messaging, Nanos, ProtocolKind, RunSpec, Topology,
+    Backend, Cluster, DirectoryMode, FaultPlan, Messaging, Nanos, ProtocolKind, RunSpec, Topology,
     TraceEvent,
 };
 
@@ -108,6 +108,23 @@ pub fn run_with(
     plan: Option<Arc<FaultPlan>>,
     audit: bool,
 ) -> (AppOutcome, Vec<TraceEvent>) {
+    let mut cluster = build_with(app, protocol, total, per_node, opts, plan, audit);
+    let out = app.execute(&mut cluster);
+    let trace = cluster.take_trace();
+    (out, trace)
+}
+
+/// The cluster [`run_with`] executes `app` on, for callers that want to
+/// look at it after the run.
+pub fn build_with(
+    app: &dyn Benchmark,
+    protocol: ProtocolKind,
+    total: usize,
+    per_node: usize,
+    opts: RunOpts,
+    plan: Option<Arc<FaultPlan>>,
+    audit: bool,
+) -> Cluster {
     let topo = Topology::from_paper_config(total, per_node)
         .unwrap_or_else(|| panic!("bad paper config {total}:{per_node}"));
     let mut spec = RunSpec::new(topo, protocol)
@@ -126,10 +143,7 @@ pub fn run_with(
     if let Some(p) = plan {
         spec = spec.with_faults(p);
     }
-    let mut cluster = spec.build_cluster(|cfg| app.configure(cfg));
-    let out = app.execute(&mut cluster);
-    let trace = cluster.take_trace();
-    (out, trace)
+    spec.build_cluster(|cfg| app.configure(cfg))
 }
 
 /// The paper's sequential baseline: one processor, uninstrumented.

@@ -21,18 +21,25 @@
 //! [`Report`](crate::Report)s at any worker count — gated by
 //! `scripts/detpar.sh`.
 //!
-//! The scheduler is a monitor: one mutex + condvar for parked-state
-//! bookkeeping, plus the lock-free [`HorizonClock`] fast path consulted at
-//! every operation entry ([`DetHandle::checkpoint`]). Horizon-parked
-//! processors sleep through the `HorizonClock` wakeup protocol (the
-//! model-checked piece — see `model_scenarios::lookahead_wakeup`).
+//! The scheduler hands turns over directly: one mutex guards the
+//! parked-state bookkeeping, and every processor sleeps on its own
+//! [`WakeSlot`]. Whoever makes a scheduling decision records, under the
+//! mutex, exactly which processors it set `Running`, drops the mutex, and
+//! wakes those and nobody else; a processor that released itself wakes
+//! nobody and does not sleep. A processor becomes `Running` only when the
+//! coordinator has put it inside a window (or granted its gate), so being
+//! woken already implies the horizon has passed its virtual time — there is
+//! no separate sleep on the horizon. The lock-free [`HorizonClock`] remains
+//! the fast path consulted at every operation entry
+//! ([`DetHandle::checkpoint`]). The slot's flag-then-unpark protocol is the
+//! model-checked piece — see `model_scenarios::handoff_wakeup`.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use cashmere_sim::{HorizonClock, Nanos};
-use parking_lot::{Condvar, Mutex};
+use cashmere_sim::{HorizonClock, Nanos, WakeSlot};
+use parking_lot::{Mutex, MutexGuard};
 
 /// What a blocked processor is waiting on, keyed by carrier pool index.
 /// `unblock_all` with the same key re-arms every matching waiter as a
@@ -65,6 +72,35 @@ enum PState {
     Finished,
 }
 
+/// Scheduler traffic counts for one run. All but `wakes` are pure functions
+/// of the schedule, hence equal at every worker count; `wakes` counts the
+/// slot wake-ups actually issued (a self-release costs none).
+#[doc(hidden)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct DetStats {
+    /// Horizon parks at operation entries (including the start barrier).
+    pub parks: u64,
+    /// Gate entries.
+    pub gates: u64,
+    /// Carrier blocks from inside a gate.
+    pub blocks: u64,
+    /// Windows opened.
+    pub windows: u64,
+    /// Wake-ups issued to other processors' slots.
+    pub wakes: u64,
+}
+
+impl DetStats {
+    /// Adds `other`'s counts to this one's.
+    pub fn merge(&mut self, other: &DetStats) {
+        self.parks += other.parks;
+        self.gates += other.gates;
+        self.blocks += other.blocks;
+        self.windows += other.windows;
+        self.wakes += other.wakes;
+    }
+}
+
 #[derive(Debug)]
 struct DetState {
     procs: Vec<PState>,
@@ -79,23 +115,49 @@ struct DetState {
     /// deterministic `(vt, id)` order.
     release_queue: VecDeque<usize>,
     finished: usize,
+    /// The processors the decision in progress set `Running`, for the
+    /// deciding thread to wake once it has dropped the lock. Never holds
+    /// more than `workers` entries; swapped against the decider's own
+    /// empty buffer, so the steady state allocates nothing.
+    handoff: Vec<usize>,
+    /// Scratch for the coordinator's window sort.
+    parked: Vec<(Nanos, usize)>,
+    stats: DetStats,
+}
+
+impl DetState {
+    fn release(&mut self, p: usize) {
+        self.procs[p] = PState::Running;
+        self.runners += 1;
+        self.handoff.push(p);
+    }
+
+    /// The earliest pending gate by `(vt, id, seq)`.
+    fn next_gate(&self) -> Option<usize> {
+        self.procs
+            .iter()
+            .enumerate()
+            .filter_map(|(p, s)| match *s {
+                PState::AtGate(vt, seq) => Some((vt, p, seq)),
+                _ => None,
+            })
+            .min()
+            .map(|(_, p, _)| p)
+    }
 }
 
 /// The conservative virtual-time scheduler for one run.
 pub struct DetScheduler {
     state: Mutex<DetState>,
-    /// Wakes stage-2 waits: admission grants and gate grants.
-    cv: Condvar,
-    /// Sleep channel for horizon-parked processors (stage 1). Separate from
-    /// `state` so sleepers hold no scheduler state while parked.
-    sleep: Mutex<()>,
-    sleep_cv: Condvar,
+    /// Where each processor sleeps while it is not `Running`.
+    slots: Vec<WakeSlot>,
     horizon: HorizonClock,
     nprocs: usize,
     workers: usize,
-    /// Set when the coordinator detects a deadlock; every waiter converts
-    /// its wait into a panic so the run aborts instead of hanging.
-    aborted: AtomicBool,
+    /// The deadlock diagnosis, set once by the coordinator that detects it;
+    /// every waiter leaves its wait with it as a panic, so the run aborts
+    /// instead of hanging.
+    aborted: OnceLock<String>,
 }
 
 impl DetScheduler {
@@ -104,22 +166,24 @@ impl DetScheduler {
     /// `quantum_ns` virtual nanoseconds.
     #[must_use]
     pub fn new(nprocs: usize, workers: usize, quantum_ns: Nanos) -> Self {
+        let workers = workers.max(1);
         Self {
             state: Mutex::new(DetState {
                 procs: vec![PState::Running; nprocs],
                 seq: vec![0; nprocs],
                 runners: nprocs,
                 granted: None,
-                release_queue: VecDeque::new(),
+                release_queue: VecDeque::with_capacity(nprocs),
                 finished: 0,
+                handoff: Vec::with_capacity(workers.min(nprocs)),
+                parked: Vec::with_capacity(nprocs),
+                stats: DetStats::default(),
             }),
-            cv: Condvar::new(),
-            sleep: Mutex::new(()),
-            sleep_cv: Condvar::new(),
+            slots: (0..nprocs).map(|_| WakeSlot::new()).collect(),
             horizon: HorizonClock::new(quantum_ns),
             nprocs,
-            workers: workers.max(1),
-            aborted: AtomicBool::new(false),
+            workers,
+            aborted: OnceLock::new(),
         }
     }
 
@@ -129,12 +193,20 @@ impl DetScheduler {
         self.workers
     }
 
+    /// The run's scheduler traffic so far.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn stats(&self) -> DetStats {
+        self.state.lock().stats
+    }
+
     /// A per-processor handle for embedding in the engine's `ProcCtx`.
     #[must_use]
     pub fn handle(self: &Arc<Self>, id: usize) -> DetHandle {
         DetHandle {
             sched: Arc::clone(self),
             id,
+            woken: Cell::new(Vec::with_capacity(self.workers.min(self.nprocs))),
         }
     }
 
@@ -142,78 +214,6 @@ impl DetScheduler {
     #[inline]
     fn must_park(&self, vt: Nanos) -> bool {
         self.horizon.past(vt)
-    }
-
-    /// Parks `me` at an operation entry and blocks until readmitted.
-    fn park(&self, me: usize, vt: Nanos) {
-        let mut st = self.state.lock();
-        debug_assert_ne!(st.granted, Some(me), "park inside a gate body");
-        st.procs[me] = PState::Parked(vt);
-        self.retire_runner(&mut st);
-        drop(st);
-        self.wait_released(me, vt);
-    }
-
-    /// Parks `me` as a pending gate and blocks until the coordinator grants
-    /// it exclusive execution.
-    fn gate_enter(&self, me: usize, vt: Nanos) {
-        let mut st = self.state.lock();
-        debug_assert_ne!(st.granted, Some(me), "nested gate");
-        st.seq[me] += 1;
-        st.procs[me] = PState::AtGate(vt, st.seq[me]);
-        self.retire_runner(&mut st);
-        self.wait_granted(me, &mut st);
-    }
-
-    /// Ends `me`'s gate: re-parks at the (possibly advanced) virtual time
-    /// and blocks until readmitted to a window.
-    fn gate_exit(&self, me: usize, vt: Nanos) {
-        let mut st = self.state.lock();
-        debug_assert_eq!(st.granted, Some(me), "gate_exit outside a gate");
-        st.granted = None;
-        st.procs[me] = PState::Parked(vt);
-        self.retire_runner(&mut st);
-        drop(st);
-        self.wait_released(me, vt);
-    }
-
-    /// From inside `me`'s gate: gives up the grant, blocks on `key`, and
-    /// returns once re-granted (after some peer's gate called
-    /// [`unblock_all`](Self::unblock_all) and the coordinator re-selected
-    /// `me`). The caller loops: re-check the carrier, block again if still
-    /// unavailable.
-    fn gate_block(&self, me: usize, vt: Nanos, key: WaitKey) {
-        let mut st = self.state.lock();
-        debug_assert_eq!(st.granted, Some(me), "gate_block outside a gate");
-        st.granted = None;
-        st.procs[me] = PState::Blocked(vt, key);
-        self.retire_runner(&mut st);
-        self.wait_granted(me, &mut st);
-    }
-
-    /// From inside a gate: re-arms every processor blocked on `key` as a
-    /// pending gate at its original virtual time with a fresh seq. The
-    /// grants happen later, one at a time, once the unblocker's gate ends.
-    fn unblock_all(&self, key: WaitKey) {
-        let mut st = self.state.lock();
-        debug_assert!(st.granted.is_some(), "unblock_all outside a gate");
-        for p in 0..self.nprocs {
-            if let PState::Blocked(vt, k) = st.procs[p] {
-                if k == key {
-                    st.seq[p] += 1;
-                    st.procs[p] = PState::AtGate(vt, st.seq[p]);
-                }
-            }
-        }
-    }
-
-    /// Marks `me` finished and hands its slot on.
-    fn finish(&self, me: usize) {
-        let mut st = self.state.lock();
-        debug_assert_ne!(st.granted, Some(me), "finish inside a gate body");
-        st.procs[me] = PState::Finished;
-        st.finished += 1;
-        self.retire_runner(&mut st);
     }
 
     /// One released processor has parked (in whatever state the caller just
@@ -225,9 +225,7 @@ impl DetScheduler {
             let Some(p) = st.release_queue.pop_front() else {
                 break;
             };
-            st.procs[p] = PState::Running;
-            st.runners += 1;
-            self.cv.notify_all();
+            st.release(p);
         }
         if st.runners == 0 {
             self.coordinate(st);
@@ -242,97 +240,50 @@ impl DetScheduler {
         debug_assert!(st.release_queue.is_empty());
 
         // 1. Drain pending gates, earliest (vt, id, seq) first.
-        let next_gate = (0..self.nprocs)
-            .filter_map(|p| match st.procs[p] {
-                PState::AtGate(vt, seq) => Some((vt, p, seq)),
-                _ => None,
-            })
-            .min();
-        if let Some((_, p, _)) = next_gate {
+        if let Some(p) = st.next_gate() {
             st.granted = Some(p);
-            st.procs[p] = PState::Running;
-            st.runners = 1;
-            self.cv.notify_all();
+            st.release(p);
             return;
         }
 
         // 2. No gates pending: open the next window over the parked set.
-        let mut parked: Vec<(Nanos, usize)> = (0..self.nprocs)
-            .filter_map(|p| match st.procs[p] {
-                PState::Parked(vt) => Some((vt, p)),
-                _ => None,
-            })
-            .collect();
-        if parked.is_empty() {
+        let mut parked = std::mem::take(&mut st.parked);
+        parked.clear();
+        parked.extend(st.procs.iter().enumerate().filter_map(|(p, s)| match *s {
+            PState::Parked(vt) => Some((vt, p)),
+            _ => None,
+        }));
+        parked.sort_unstable();
+        let Some(&(min_vt, _)) = parked.first() else {
             if st.finished == self.nprocs {
-                self.cv.notify_all();
+                // The run is over; nothing is left to schedule.
                 return;
             }
             self.abort_deadlocked(st);
-        }
-        parked.sort_unstable();
-        let min_vt = parked[0].0;
-        let mut advanced = false;
+        };
         if self.horizon.past(min_vt) {
             self.horizon.advance_past(min_vt);
-            advanced = true;
         }
         let end = self.horizon.end();
-        for &(vt, p) in &parked {
-            if vt >= end {
-                // Beyond the window: stays parked for a later one.
-                continue;
-            }
+        // Beyond the window: stays parked for a later one.
+        for &(_, p) in parked.iter().take_while(|&&(vt, _)| vt < end) {
             if st.runners < self.workers {
-                st.procs[p] = PState::Running;
-                st.runners += 1;
+                st.release(p);
             } else {
                 st.release_queue.push_back(p);
             }
         }
         debug_assert!(st.runners > 0, "window covers no parked processor");
-        if advanced {
-            // Wake stage-1 sleepers under the sleep lock (the HorizonClock
-            // epoch already changed, so late sleepers re-check and return).
-            let _g = self.sleep.lock();
-            self.sleep_cv.notify_all();
-        }
-        self.cv.notify_all();
+        st.stats.windows += 1;
+        st.parked = parked;
     }
 
-    /// Blocks `me` until it is released into a window: first until the
-    /// horizon passes its parked vt (stage 1, the lock-free wakeup
-    /// protocol), then until the coordinator admits it (stage 2).
-    fn wait_released(&self, me: usize, vt: Nanos) {
-        self.horizon.wait_past(vt, |seen| {
-            let mut g = self.sleep.lock();
-            while self.horizon.sleep_epoch() == seen {
-                self.check_abort();
-                self.sleep_cv.wait(&mut g);
-            }
-        });
-        let mut st = self.state.lock();
-        while st.procs[me] != PState::Running {
-            self.check_abort();
-            self.cv.wait(&mut st);
-        }
-    }
-
-    /// Blocks `me` (already recorded AtGate/Blocked, lock held) until the
-    /// coordinator grants it the gate.
-    fn wait_granted(&self, me: usize, st: &mut parking_lot::MutexGuard<'_, DetState>) {
-        while st.granted != Some(me) {
-            self.check_abort();
-            self.cv.wait(st);
-        }
-        debug_assert_eq!(st.procs[me], PState::Running);
-    }
-
+    /// Leaves a wait: if the coordinator aborted the run meanwhile, with
+    /// its diagnosis as a panic.
     fn check_abort(&self) {
-        assert!(
-            !self.aborted.load(Ordering::SeqCst),
-            "deterministic scheduler aborted (deadlock detected by the coordinator)"
-        );
+        if let Some(diagnosis) = self.aborted.get() {
+            panic!("{diagnosis}");
+        }
     }
 
     /// No gate pending, nobody parked, not everyone finished: the remaining
@@ -340,25 +291,26 @@ impl DetScheduler {
     /// every waiter into a panic (instead of hanging the run) and report
     /// who waits on what.
     fn abort_deadlocked(&self, st: &DetState) -> ! {
-        self.aborted.store(true, Ordering::SeqCst);
-        {
-            let _g = self.sleep.lock();
-            self.sleep_cv.notify_all();
-        }
-        self.cv.notify_all();
         let waiters: Vec<String> = (0..self.nprocs)
             .filter_map(|p| match st.procs[p] {
                 PState::Blocked(vt, key) => Some(format!("proc {p} blocked on {key:?} at vt {vt}")),
                 _ => None,
             })
             .collect();
-        panic!(
+        let diagnosis = format!(
             "deterministic scheduler deadlock: no runnable processor \
              ({}/{} finished; {})",
             st.finished,
             self.nprocs,
             waiters.join(", ")
         );
+        // Only the coordinator gets here, under the state lock: the set
+        // cannot race.
+        let _ = self.aborted.set(diagnosis.clone());
+        for slot in &self.slots {
+            slot.wake();
+        }
+        panic!("{diagnosis}");
     }
 
     // -- microbench probes (charge-free host machinery; see `hotpath`) ----
@@ -371,19 +323,12 @@ impl DetScheduler {
     }
 
     /// The coordinator's grant selection over the current parked multiset,
-    /// exposed for the hotpath rows. Scans like `coordinate` step 1 but
-    /// changes nothing.
+    /// exposed for the hotpath rows: `coordinate` step 1's scan, changing
+    /// nothing.
     #[doc(hidden)]
     #[must_use]
     pub fn bench_grant_scan(&self) -> Option<usize> {
-        let st = self.state.lock();
-        (0..self.nprocs)
-            .filter_map(|p| match st.procs[p] {
-                PState::AtGate(vt, seq) => Some((vt, p, seq)),
-                _ => None,
-            })
-            .min()
-            .map(|(_, p, _)| p)
+        self.state.lock().next_gate()
     }
 
     /// Seeds proc `p` as a pending gate at `(vt, seq)` for
@@ -399,10 +344,12 @@ impl DetScheduler {
 /// A per-processor handle on the shared scheduler, embedded in the engine's
 /// `ProcCtx` (absent in the default free-running mode, so the off path costs
 /// one `Option` discriminant test per hook, like the obs layer).
-#[derive(Clone)]
 pub struct DetHandle {
     sched: Arc<DetScheduler>,
     id: usize,
+    /// This processor's empty buffer to swap against the scheduler's
+    /// hand-off list (see `yield_turn`).
+    woken: Cell<Vec<usize>>,
 }
 
 impl DetHandle {
@@ -411,7 +358,7 @@ impl DetHandle {
     #[inline]
     pub fn checkpoint(&self, vt: Nanos) {
         if self.sched.must_park(vt) {
-            self.sched.park(self.id, vt);
+            self.park(vt);
         }
     }
 
@@ -419,35 +366,103 @@ impl DetHandle {
     /// once every processor has checked in, and no more than `workers`
     /// processors ever run concurrently.
     pub fn start(&self) {
-        self.sched.park(self.id, 0);
+        self.park(0);
+    }
+
+    /// Parks at an operation entry and blocks until readmitted to a window.
+    fn park(&self, vt: Nanos) {
+        let mut st = self.sched.state.lock();
+        debug_assert_ne!(st.granted, Some(self.id), "park inside a gate body");
+        st.procs[self.id] = PState::Parked(vt);
+        st.stats.parks += 1;
+        self.yield_turn(st);
     }
 
     /// Enters a gate at `vt`: blocks until every peer is parked and this
     /// processor's `(vt, id, seq)` is the earliest pending gate.
     pub fn gate_enter(&self, vt: Nanos) {
-        self.sched.gate_enter(self.id, vt);
+        let mut st = self.sched.state.lock();
+        debug_assert_ne!(st.granted, Some(self.id), "nested gate");
+        st.seq[self.id] += 1;
+        st.procs[self.id] = PState::AtGate(vt, st.seq[self.id]);
+        st.stats.gates += 1;
+        self.yield_turn(st);
     }
 
     /// Leaves the current gate at `vt` (clock may have advanced inside) and
     /// blocks until readmitted to a window.
     pub fn gate_exit(&self, vt: Nanos) {
-        self.sched.gate_exit(self.id, vt);
+        let mut st = self.sched.state.lock();
+        debug_assert_eq!(st.granted, Some(self.id), "gate_exit outside a gate");
+        st.granted = None;
+        st.procs[self.id] = PState::Parked(vt);
+        self.yield_turn(st);
     }
 
-    /// From inside a gate: block on `key` until re-granted after a peer's
-    /// `unblock_all(key)`.
+    /// From inside a gate: gives up the grant, blocks on `key`, and returns
+    /// once re-granted (after some peer's gate called
+    /// [`unblock_all`](Self::unblock_all) and the coordinator re-selected
+    /// this processor). The caller loops: re-check the carrier, block again
+    /// if still unavailable.
     pub fn gate_block(&self, vt: Nanos, key: WaitKey) {
-        self.sched.gate_block(self.id, vt, key);
+        let mut st = self.sched.state.lock();
+        debug_assert_eq!(st.granted, Some(self.id), "gate_block outside a gate");
+        st.granted = None;
+        st.procs[self.id] = PState::Blocked(vt, key);
+        st.stats.blocks += 1;
+        self.yield_turn(st);
     }
 
-    /// From inside a gate: re-arm every processor blocked on `key`.
+    /// From inside a gate: re-arms every processor blocked on `key` as a
+    /// pending gate at its original virtual time with a fresh seq. The
+    /// grants happen later, one at a time, once this gate ends.
     pub fn unblock_all(&self, key: WaitKey) {
-        self.sched.unblock_all(key);
+        let mut guard = self.sched.state.lock();
+        let st = &mut *guard;
+        debug_assert!(st.granted.is_some(), "unblock_all outside a gate");
+        for (p, s) in st.procs.iter_mut().enumerate() {
+            if let PState::Blocked(vt, k) = *s {
+                if k == key {
+                    st.seq[p] += 1;
+                    *s = PState::AtGate(vt, st.seq[p]);
+                }
+            }
+        }
     }
 
-    /// Marks this processor finished.
+    /// Marks this processor finished and hands its worker slot on.
     pub fn finish(&self) {
-        self.sched.finish(self.id);
+        let mut st = self.sched.state.lock();
+        debug_assert_ne!(st.granted, Some(self.id), "finish inside a gate body");
+        st.procs[self.id] = PState::Finished;
+        st.finished += 1;
+        self.yield_turn(st);
+    }
+
+    /// This processor has just recorded, in `st`, the state it stops
+    /// running in. Retires it as a runner (which may refill its worker slot
+    /// or run the coordinator), wakes exactly the processors that decision
+    /// released — after dropping the lock, so none of them wakes into a
+    /// held mutex — and, unless it released itself or has finished, sleeps
+    /// on its own slot until some later decision releases it.
+    fn yield_turn(&self, mut st: MutexGuard<'_, DetState>) {
+        let sched = &*self.sched;
+        sched.retire_runner(&mut st);
+        let mut woken = self.woken.take();
+        std::mem::swap(&mut st.handoff, &mut woken);
+        let released_self = woken.contains(&self.id);
+        let runs_on = released_self || st.procs[self.id] == PState::Finished;
+        st.stats.wakes += (woken.len() - usize::from(released_self)) as u64;
+        drop(st);
+        for &p in woken.iter().filter(|&&p| p != self.id) {
+            sched.slots[p].wake();
+        }
+        woken.clear();
+        self.woken.set(woken);
+        if !runs_on {
+            sched.slots[self.id].wait();
+            sched.check_abort();
+        }
     }
 }
 
@@ -567,5 +582,66 @@ mod tests {
         h.start();
         h.gate_enter(5);
         h.gate_block(5, WaitKey::Flag(0));
+    }
+
+    #[test]
+    fn deadlock_wakes_every_blocked_thread_with_the_diagnosis() {
+        // Three processors on their own threads all block on a flag nobody
+        // sets. The last to block runs the coordinator and panics there;
+        // the other two sleep on their own slots, so the abort has to wake
+        // each of them — or this scope never returns.
+        let sched = Arc::new(DetScheduler::new(3, 8, 100));
+        let messages: Vec<String> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..3)
+                .map(|p| {
+                    let h = sched.handle(p);
+                    s.spawn(move || {
+                        h.start();
+                        h.gate_enter(5);
+                        h.gate_block(5, WaitKey::Flag(0));
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .map(|t| {
+                    let payload = t.join().expect_err("every thread must leave its wait");
+                    *payload
+                        .downcast::<String>()
+                        .expect("the abort panics with a formatted diagnosis")
+                })
+                .collect()
+        });
+        for m in &messages {
+            assert!(m.contains("deterministic scheduler deadlock"), "{m}");
+            for p in 0..3 {
+                let waiter = format!("proc {p} blocked on Flag(0) at vt 5");
+                assert!(m.contains(&waiter), "{m}");
+            }
+        }
+    }
+
+    #[test]
+    fn handoff_wakeup_stress() {
+        crate::model_scenarios::handoff_wakeup(20_000, false);
+    }
+
+    #[test]
+    fn a_processor_that_releases_itself_wakes_nobody() {
+        // One processor: every decision it makes releases itself, so no
+        // slot is ever written (and with no second thread, a sleep here
+        // would hang the test).
+        let sched = Arc::new(DetScheduler::new(1, 1, 100));
+        let h = sched.handle(0);
+        h.start();
+        for vt in [10, 150, 320] {
+            h.checkpoint(vt);
+            h.gate_enter(vt);
+            h.gate_exit(vt + 5);
+        }
+        h.finish();
+        let st = sched.stats();
+        assert_eq!(st.wakes, 0);
+        assert_eq!((st.gates, st.blocks), (3, 0));
     }
 }

@@ -50,7 +50,7 @@ use cashmere_vmpage::{
 };
 
 use crate::config::{ClusterConfig, DirectoryMode};
-use crate::det::DetHandle;
+use crate::det::{DetHandle, WaitKey};
 use crate::directory::{DirWord, Directory, HomeInfo, PermBits};
 use crate::mc_lock::McLock;
 use crate::recovery::{RecoveryStats, RecoverySummary};
@@ -173,6 +173,40 @@ impl ProcCtx {
     pub(crate) fn det_checkpoint(&self) {
         if let Some(d) = &self.det {
             d.checkpoint(self.clock.now());
+        }
+    }
+
+    /// Enters an exclusive gate at the current virtual time (DESIGN.md
+    /// §15): returns once every peer is parked and this gate is the
+    /// earliest pending. A no-op in the sequential engine, like the three
+    /// gate calls below.
+    #[inline]
+    pub(crate) fn gate_enter(&self) {
+        if let Some(d) = &self.det {
+            d.gate_enter(self.clock.now());
+        }
+    }
+
+    /// Leaves the current gate (the clock may have advanced inside it).
+    #[inline]
+    pub(crate) fn gate_exit(&self) {
+        if let Some(d) = &self.det {
+            d.gate_exit(self.clock.now());
+        }
+    }
+
+    /// From inside a gate: blocks on `key` until re-granted after a peer's
+    /// [`Self::unblock_all`].
+    pub(crate) fn gate_block(&self, key: WaitKey) {
+        if let Some(d) = &self.det {
+            d.gate_block(self.clock.now(), key);
+        }
+    }
+
+    /// From inside a gate: re-arms every processor blocked on `key`.
+    pub(crate) fn unblock_all(&self, key: WaitKey) {
+        if let Some(d) = &self.det {
+            d.unblock_all(key);
         }
     }
 
@@ -728,17 +762,12 @@ impl Engine {
     /// on acquisition order, so under the deterministic scheduler the
     /// settle is a lookahead barrier (DESIGN.md §15).
     fn settle_bus(&self, ctx: &mut ProcCtx) {
-        let det = ctx.det.clone();
-        if let Some(d) = &det {
-            d.gate_enter(ctx.clock.now());
-        }
+        ctx.gate_enter();
         let busy = ctx.pending_bus * self.cfg.cost.node_bus_ns_per_byte;
         ctx.pending_bus = 0;
         let done = self.buses[ctx.phys].acquire(ctx.clock.now(), busy);
         ctx.clock.wait_until(done);
-        if let Some(d) = &det {
-            d.gate_exit(ctx.clock.now());
-        }
+        ctx.gate_exit();
     }
 
     /// Settles the accumulated write-doubling bytes through the node's MC
@@ -746,17 +775,12 @@ impl Engine {
     /// are posted, so the writer does not block). Like [`Self::settle_bus`],
     /// a lookahead barrier: link occupancy is order-sensitive shared state.
     fn settle_double(&self, ctx: &mut ProcCtx) {
-        let det = ctx.det.clone();
-        if let Some(d) = &det {
-            d.gate_enter(ctx.clock.now());
-        }
+        ctx.gate_enter();
         let _ = self
             .mc
             .charge_link(ctx.pnode, ctx.pending_double, ctx.clock.now());
         ctx.pending_double = 0;
-        if let Some(d) = &det {
-            d.gate_exit(ctx.clock.now());
-        }
+        ctx.gate_exit();
     }
 
     /// Charges `n` shared accesses in bulk, *bit-identically* to `n` calls
@@ -1069,14 +1093,9 @@ impl Engine {
     /// the directory, node-page state, the notice board, node clocks, the
     /// home lock, and the transport, all order-sensitive shared state.
     fn fault_common(&self, ctx: &mut ProcCtx, page: usize, word: usize, write: bool) {
-        match ctx.det.clone() {
-            Some(d) => {
-                d.gate_enter(ctx.clock.now());
-                self.fault_common_inner(ctx, page, word, write);
-                d.gate_exit(ctx.clock.now());
-            }
-            None => self.fault_common_inner(ctx, page, word, write),
-        }
+        ctx.gate_enter();
+        self.fault_common_inner(ctx, page, word, write);
+        ctx.gate_exit();
     }
 
     fn fault_common_inner(&self, ctx: &mut ProcCtx, page: usize, word: usize, write: bool) {
@@ -1830,14 +1849,9 @@ impl Engine {
     /// Under the deterministic scheduler the whole release is one
     /// exclusive gate (DESIGN.md §15).
     pub fn release_actions(&self, ctx: &mut ProcCtx) {
-        match ctx.det.clone() {
-            Some(d) => {
-                d.gate_enter(ctx.clock.now());
-                self.release_actions_inner(ctx);
-                d.gate_exit(ctx.clock.now());
-            }
-            None => self.release_actions_inner(ctx),
-        }
+        ctx.gate_enter();
+        self.release_actions_inner(ctx);
+        ctx.gate_exit();
     }
 
     fn release_actions_inner(&self, ctx: &mut ProcCtx) {
@@ -2037,14 +2051,9 @@ impl Engine {
     /// whose updates predate their notices. Under the deterministic
     /// scheduler the whole acquire is one exclusive gate (DESIGN.md §15).
     pub fn acquire_actions(&self, ctx: &mut ProcCtx) {
-        match ctx.det.clone() {
-            Some(d) => {
-                d.gate_enter(ctx.clock.now());
-                self.acquire_actions_inner(ctx);
-                d.gate_exit(ctx.clock.now());
-            }
-            None => self.acquire_actions_inner(ctx),
-        }
+        ctx.gate_enter();
+        self.acquire_actions_inner(ctx);
+        ctx.gate_exit();
     }
 
     fn acquire_actions_inner(&self, ctx: &mut ProcCtx) {

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use cashmere_memchan::TransportConfig;
 use cashmere_model::{thread, ModelAtomicBool, ModelAtomicU64};
-use cashmere_sim::{HorizonClock, Nanos};
+use cashmere_sim::{HorizonClock, Nanos, WakeSlot};
 use cashmere_transport::build_transport;
 
 use crate::config::DirectoryMode;
@@ -387,6 +387,52 @@ pub fn lookahead_wakeup(mutant: bool) {
         hc.end() > 50,
         "the horizon must have opened past the waiter"
     );
+}
+
+/// The deterministic scheduler's turn hand-off (DESIGN.md §15): two parties
+/// pass one turn back and forth `rounds` times, each sleeping on its own
+/// [`WakeSlot`] and woken only by the other — the shape of a gate grant
+/// followed by the granter's own wait. The waker raises the flag and then
+/// unparks; the sleeper registers, then re-checks the flag around every
+/// park. Every turn must be taken in order (a wake releases exactly one
+/// wait, and a stale park token releases none), and nobody may sleep
+/// through its wake. With `mutant`, the waker unparks *before* raising the
+/// flag, and the explorer must find the schedule where the sleeper spends
+/// the token on a flag still down and parks again with no unpark left to
+/// come — reported as a deadlock on `Park`.
+pub fn handoff_wakeup(rounds: u64, mutant: bool) {
+    let slots = Arc::new([WakeSlot::new(), WakeSlot::new()]);
+    let turn = Arc::new(ModelAtomicU64::new(0));
+    let parties: Vec<_> = (0..2usize)
+        .map(|me| {
+            let slots = Arc::clone(&slots);
+            let turn = Arc::clone(&turn);
+            thread::spawn(move || {
+                for r in 0..rounds {
+                    // Party 0 starts with the turn; every later turn is
+                    // handed over.
+                    if r > 0 || me == 1 {
+                        slots[me].wait();
+                    }
+                    assert_eq!(
+                        turn.fetch_add(1, Ordering::SeqCst),
+                        2 * r + me as u64,
+                        "party {me} woken out of turn"
+                    );
+                    let peer = &slots[1 - me];
+                    if mutant {
+                        peer.wake_mutant_unpark_first();
+                    } else {
+                        peer.wake();
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in parties {
+        h.join();
+    }
+    assert_eq!(turn.load(Ordering::SeqCst), 2 * rounds);
 }
 
 /// Mutual exclusion through the Memory Channel lock: `nodes` threads (one

@@ -27,9 +27,10 @@ use std::sync::Arc;
 use cashmere_obs::{ObsReport, ProcObs, SpanKind};
 use cashmere_sim::{Nanos, ProcClock, ProcId, TimeCategory};
 use cashmere_vmpage::PAGE_WORDS;
+use parking_lot::Mutex;
 
 use crate::config::ClusterConfig;
-use crate::det::{DetScheduler, WaitKey};
+use crate::det::{DetScheduler, DetStats, WaitKey};
 use crate::engine::{Engine, ProcCtx};
 use crate::report::Report;
 use crate::sync::{BarrierArrival, CarrierBarrier, CarrierFlag, CarrierLock};
@@ -48,6 +49,7 @@ pub struct Cluster {
     engine: Arc<Engine>,
     pools: Arc<SyncPools>,
     next_word: usize,
+    det_stats: Mutex<DetStats>,
 }
 
 impl Cluster {
@@ -62,6 +64,7 @@ impl Cluster {
             engine: Engine::new(cfg),
             pools,
             next_word: 0,
+            det_stats: Mutex::new(DetStats::default()),
         }
     }
 
@@ -201,15 +204,13 @@ impl Cluster {
                     let h = sched.handle(p);
                     s.spawn(move || {
                         let mut proc = Proc::new(engine, pools, ProcId(p));
-                        proc.ctx.set_det(h.clone());
                         // Start barrier: no processor computes until every
                         // context exists, so window 0 opens identically at
                         // any worker count.
                         h.start();
+                        proc.ctx.set_det(h);
                         f(&mut proc);
-                        let out = proc.finish();
-                        h.finish();
-                        out
+                        proc.finish()
                     })
                 })
                 .collect();
@@ -218,7 +219,16 @@ impl Cluster {
                 .map(|h| h.join().expect("simulated processor panicked"))
                 .collect()
         });
+        self.det_stats.lock().merge(&sched.stats());
         self.collect_report(&results)
+    }
+
+    /// Scheduler traffic summed over this cluster's deterministic runs
+    /// (all zero on the free-running engine). Kept off [`Report`], whose
+    /// bytes are the same at every worker count; `wakes` need not be.
+    #[doc(hidden)]
+    pub fn det_stats(&self) -> DetStats {
+        *self.det_stats.lock()
     }
 
     fn collect_report(&self, results: &[(ProcClock, Option<Box<ProcObs>>)]) -> Report {
@@ -364,23 +374,22 @@ impl Proc {
         self.ctx.obs_begin(SpanKind::Lock, l as i64);
         self.engine.stats.lock_acquires.inc();
         let cost = self.lock_cost();
-        let vt = match self.ctx.det.clone() {
-            Some(d) => {
-                // Deterministic grant (DESIGN.md §15): the acquire is a
-                // gate; contenders park in the scheduler and are re-granted
-                // in (virtual time, processor id) order at each release.
-                d.gate_enter(self.ctx.clock.now());
-                loop {
-                    match self.pools.locks[l].try_acquire_for(self.ctx.clock.now(), cost) {
-                        Some(vt) => {
-                            d.gate_exit(self.ctx.clock.now());
-                            break vt;
-                        }
-                        None => d.gate_block(self.ctx.clock.now(), WaitKey::Lock(l)),
+        let vt = if self.ctx.det.is_some() {
+            // Deterministic grant (DESIGN.md §15): the acquire is a gate;
+            // contenders park in the scheduler and are re-granted in
+            // (virtual time, processor id) order at each release.
+            self.ctx.gate_enter();
+            loop {
+                match self.pools.locks[l].try_acquire_for(self.ctx.clock.now(), cost) {
+                    Some(vt) => {
+                        self.ctx.gate_exit();
+                        break vt;
                     }
+                    None => self.ctx.gate_block(WaitKey::Lock(l)),
                 }
             }
-            None => self.pools.locks[l].acquire_for(self.ctx.clock.now(), cost),
+        } else {
+            self.pools.locks[l].acquire_for(self.ctx.clock.now(), cost)
         };
         self.ctx.clock.wait_until(vt);
         // Consumer: emitted after the carrier grant, so it is sequenced
@@ -405,15 +414,10 @@ impl Proc {
             pnode: self.ctx.pnode,
             lock: l,
         });
-        match self.ctx.det.clone() {
-            Some(d) => {
-                d.gate_enter(self.ctx.clock.now());
-                self.pools.locks[l].release(self.ctx.clock.now());
-                d.unblock_all(WaitKey::Lock(l));
-                d.gate_exit(self.ctx.clock.now());
-            }
-            None => self.pools.locks[l].release(self.ctx.clock.now()),
-        }
+        self.ctx.gate_enter();
+        self.pools.locks[l].release(self.ctx.clock.now());
+        self.ctx.unblock_all(WaitKey::Lock(l));
+        self.ctx.gate_exit();
     }
 
     /// Crosses application barrier `b` (all processors participate): a
@@ -433,29 +437,28 @@ impl Proc {
         });
         let cost = self.barrier_cost();
         let n = self.nprocs();
-        let crossing = match self.ctx.det.clone() {
-            Some(d) => {
-                // Deterministic rendezvous (DESIGN.md §15): arrivals are
-                // gates ordered by (virtual time, processor id); early
-                // arrivers park in the scheduler until the last arrival
-                // completes the episode and unblocks them.
-                d.gate_enter(self.ctx.clock.now());
-                match self.pools.barriers[b].arrive(n, self.ctx.clock.now(), cost) {
-                    BarrierArrival::Complete(c) => {
-                        d.unblock_all(WaitKey::Barrier(b));
-                        d.gate_exit(self.ctx.clock.now());
-                        c
-                    }
-                    BarrierArrival::Waiting(epoch) => loop {
-                        d.gate_block(self.ctx.clock.now(), WaitKey::Barrier(b));
-                        if let Some(c) = self.pools.barriers[b].poll(epoch) {
-                            d.gate_exit(self.ctx.clock.now());
-                            break c;
-                        }
-                    },
+        let crossing = if self.ctx.det.is_some() {
+            // Deterministic rendezvous (DESIGN.md §15): arrivals are gates
+            // ordered by (virtual time, processor id); early arrivers park
+            // in the scheduler until the last arrival completes the episode
+            // and unblocks them.
+            self.ctx.gate_enter();
+            match self.pools.barriers[b].arrive(n, self.ctx.clock.now(), cost) {
+                BarrierArrival::Complete(c) => {
+                    self.ctx.unblock_all(WaitKey::Barrier(b));
+                    self.ctx.gate_exit();
+                    c
                 }
+                BarrierArrival::Waiting(epoch) => loop {
+                    self.ctx.gate_block(WaitKey::Barrier(b));
+                    if let Some(c) = self.pools.barriers[b].poll(epoch) {
+                        self.ctx.gate_exit();
+                        break c;
+                    }
+                },
             }
-            None => self.pools.barriers[b].wait(n, self.ctx.clock.now(), cost),
+        } else {
+            self.pools.barriers[b].wait(n, self.ctx.clock.now(), cost)
         };
         if crossing.was_last {
             self.engine.stats.barriers.inc();
@@ -498,35 +501,29 @@ impl Proc {
             pnode: self.ctx.pnode,
             flag: fl,
         });
-        match self.ctx.det.clone() {
-            Some(d) => {
-                d.gate_enter(self.ctx.clock.now());
-                self.pools.flags[fl].set(self.ctx.clock.now());
-                d.unblock_all(WaitKey::Flag(fl));
-                d.gate_exit(self.ctx.clock.now());
-            }
-            None => self.pools.flags[fl].set(self.ctx.clock.now()),
-        }
+        self.ctx.gate_enter();
+        self.pools.flags[fl].set(self.ctx.clock.now());
+        self.ctx.unblock_all(WaitKey::Flag(fl));
+        self.ctx.gate_exit();
     }
 
     /// Waits for application flag `fl` (acquire semantics).
     pub fn flag_wait(&mut self, fl: usize) {
         self.ctx.obs_begin(SpanKind::Flag, fl as i64);
         self.engine.stats.lock_acquires.inc();
-        let vt = match self.ctx.det.clone() {
-            Some(d) => {
-                d.gate_enter(self.ctx.clock.now());
-                loop {
-                    match self.pools.flags[fl].try_wait(self.ctx.clock.now()) {
-                        Some(vt) => {
-                            d.gate_exit(self.ctx.clock.now());
-                            break vt;
-                        }
-                        None => d.gate_block(self.ctx.clock.now(), WaitKey::Flag(fl)),
+        let vt = if self.ctx.det.is_some() {
+            self.ctx.gate_enter();
+            loop {
+                match self.pools.flags[fl].try_wait(self.ctx.clock.now()) {
+                    Some(vt) => {
+                        self.ctx.gate_exit();
+                        break vt;
                     }
+                    None => self.ctx.gate_block(WaitKey::Flag(fl)),
                 }
             }
-            None => self.pools.flags[fl].wait(self.ctx.clock.now()),
+        } else {
+            self.pools.flags[fl].wait(self.ctx.clock.now())
         };
         // Consumer: emitted after the wait observed the set.
         self.trace(|| ProtocolEvent::FlagWait {
@@ -604,6 +601,9 @@ impl Proc {
         self.engine.settle(&mut self.ctx);
         if let Some(o) = &mut self.ctx.obs {
             o.finish(&self.ctx.clock);
+        }
+        if let Some(d) = &self.ctx.det {
+            d.finish();
         }
         (self.ctx.clock.clone(), self.ctx.obs.take())
     }

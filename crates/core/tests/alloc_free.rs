@@ -1,27 +1,42 @@
 //! Proves the engine's data-access hot path performs zero heap
-//! allocations — with observability off AND on. A counting global
-//! allocator wraps the system one; after warming the faults out of a
-//! working set, a burst of reads and writes must not allocate at all.
+//! allocations — with observability off AND on — and that the
+//! deterministic scheduler's steady state (DESIGN.md §15) performs none
+//! either. A counting global allocator wraps the system one; after warming
+//! the faults out of a working set, a burst of reads and writes must not
+//! allocate at all. The count is per thread, so tests running side by side
+//! in this binary cannot charge each other.
 //!
 //! The workspace denies `unsafe code`; this test is the one sanctioned
 //! exception, because a `GlobalAlloc` impl cannot be written without it.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cashmere_core::{Cluster, ClusterConfig, ProtocolKind, Topology};
+use cashmere_core::{Cluster, ClusterConfig, Proc, ProtocolKind, Topology};
 use cashmere_sim::ProcId;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor: touching it from inside
+    // the allocator can neither allocate nor run after teardown.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // relaxed-ok: allocation counter; the single-threaded test reads it
-        // on the same thread that increments it.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,8 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // relaxed-ok: allocation counter (see alloc above).
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -52,8 +66,7 @@ fn assert_hot_path_allocation_free(obs: bool) {
     for page in 0..4 {
         engine.write_word(&mut ctx, page * 512, 1);
     }
-    // relaxed-ok: same-thread counter reads around a single-threaded loop.
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for round in 0..100u64 {
         for page in 0..4 {
             let addr = page * 512 + (round as usize % 64);
@@ -61,8 +74,7 @@ fn assert_hot_path_allocation_free(obs: bool) {
             engine.write_word(&mut ctx, addr, v + 1);
         }
     }
-    // relaxed-ok: same-thread counter read (see above).
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let delta = allocs() - before;
     assert_eq!(delta, 0, "hot path allocated {delta} times with obs={obs}");
 }
 
@@ -74,4 +86,49 @@ fn hot_path_is_allocation_free_with_obs_off() {
 #[test]
 fn hot_path_is_allocation_free_with_obs_on() {
     assert_hot_path_allocation_free(true);
+}
+
+/// `rounds` warm read-modify-writes of one word each plus a slice of
+/// compute: under the det engine every operation entry is a checkpoint
+/// (parking at each window end), and every 4 KB of bus traffic settles
+/// through an exclusive gate.
+fn det_burst(p: &mut Proc, base: usize, rounds: usize) {
+    for r in 0..rounds {
+        let addr = base + r % 64;
+        let v = p.read_u64(addr);
+        p.write_u64(addr, v + 1);
+        p.compute(3_000);
+    }
+}
+
+#[test]
+fn det_scheduler_steady_state_is_allocation_free() {
+    let cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
+        .with_heap_pages(4)
+        .with_det_parallel(2);
+    let mut cluster = Cluster::new(cfg);
+    let base = cluster.alloc_page_aligned(4 * 512);
+    let burst_allocs = AtomicU64::new(0);
+    cluster.run(|p| {
+        // A page of its own per processor: after the first fault nothing
+        // here is shared, so the only scheduler traffic is windows and
+        // bus-settle gates.
+        let mine = base + p.id() * 512;
+        // Warm-up: the fault and the first windows (each host thread
+        // registers with its wake slot on its first sleep).
+        det_burst(p, mine, 5_000);
+        let before = allocs();
+        det_burst(p, mine, 20_000);
+        burst_allocs.fetch_add(allocs() - before, Ordering::SeqCst);
+    });
+    let st = cluster.det_stats();
+    assert!(
+        st.windows > 1_000 && st.gates > 40 && st.wakes > 1_000,
+        "the burst must cross windows, take gates and hand turns over: {st:?}"
+    );
+    assert_eq!(
+        burst_allocs.load(Ordering::SeqCst),
+        0,
+        "det steady state allocated"
+    );
 }

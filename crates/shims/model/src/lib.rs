@@ -5,7 +5,8 @@
 //! the explorer lives directly inside them. When a test runs a closure under
 //! [`explore`], every lock acquire/release of the vendored `parking_lot`
 //! shim, every [`ModelAtomicU64`]/[`ModelAtomicBool`] operation, and every
-//! [`thread::spawn`]/[`thread::JoinHandle::join`] routes through a schedule
+//! [`thread::spawn`]/[`thread::JoinHandle::join`]/[`thread::park`]/
+//! [`thread::Thread::unpark`] routes through a schedule
 //! controller that runs exactly **one thread at a time** and decides, at
 //! each such *schedule point*, which thread runs next:
 //!
@@ -98,6 +99,12 @@ pub enum OpKind {
     Join(usize),
     /// Explicit yield (always a branch point).
     Yield,
+    /// Park: runnable only while the thread's park token is available;
+    /// consumes it.
+    Park,
+    /// Unpark of the thread whose model id is the operand: makes its park
+    /// token available.
+    Unpark(usize),
 }
 
 macro_rules! gated {
@@ -214,7 +221,12 @@ impl Op {
     fn por_eligible(self) -> bool {
         !matches!(
             self.kind,
-            OpKind::Spawn | OpKind::Start | OpKind::Join(_) | OpKind::Yield
+            OpKind::Spawn
+                | OpKind::Start
+                | OpKind::Join(_)
+                | OpKind::Yield
+                | OpKind::Park
+                | OpKind::Unpark(_)
         )
     }
 

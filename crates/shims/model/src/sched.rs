@@ -154,6 +154,8 @@ struct State {
     threads: Vec<ThState>,
     current: Option<usize>,
     locks: HashMap<usize, LockSt>,
+    /// Park tokens by thread id (`std::thread` semantics: at most one).
+    tokens: Vec<bool>,
     rng: u64,
     bound: u32,
     preemptions: u32,
@@ -170,6 +172,7 @@ impl State {
             threads: vec![ThState::Starting],
             current: Some(0),
             locks: HashMap::new(),
+            tokens: vec![false],
             rng: seed,
             bound,
             preemptions: 0,
@@ -199,6 +202,7 @@ impl State {
             OpKind::LockAcquire | OpKind::RwWrite => !self.locks.contains_key(&op.loc),
             OpKind::RwRead => !matches!(self.locks.get(&op.loc), Some(LockSt::Excl(_))),
             OpKind::Join(target) => matches!(self.threads[target], ThState::Finished),
+            OpKind::Park => self.tokens[tid],
             _ => true,
         }
     }
@@ -237,6 +241,8 @@ impl State {
                         }
                     }
                 }
+                OpKind::Park => self.tokens[tid] = false,
+                OpKind::Unpark(target) => self.tokens[target] = true,
                 _ => {}
             }
         }
@@ -355,6 +361,11 @@ fn cur_ctx() -> Option<Ctx> {
 /// Whether the calling thread is registered with an active exploration.
 pub(crate) fn active() -> bool {
     cur_ctx().is_some()
+}
+
+/// The calling thread's model id, if it is registered with an exploration.
+pub(crate) fn current_tid() -> Option<usize> {
+    cur_ctx().map(|c| c.tid)
 }
 
 /// Sentinel unwind payload used to tear threads out of a dead schedule.
@@ -514,6 +525,7 @@ where
             "model schedule exceeded {MAX_THREADS} threads"
         );
         st.threads.push(ThState::Starting);
+        st.tokens.push(false);
         st.threads.len() - 1
     };
     let slot = Arc::new(Mutex::new(None));
@@ -929,6 +941,33 @@ mod tests {
             explored.por_skips > 0,
             "POR should skip commuting steps on disjoint locations"
         );
+    }
+
+    #[test]
+    fn park_consumes_one_token_and_a_lost_wakeup_is_a_deadlock() {
+        // An unpark that lands before the park is not lost (the token
+        // waits), so a single hand-off passes under every schedule.
+        try_explore("park-token", &small(), || {
+            let sleeper = thread::spawn(thread::park);
+            // Model ids are assigned in spawn order; the sleeper is t1.
+            let waker = thread::spawn(|| thread::Thread::model(1).unpark());
+            waker.join();
+            sleeper.join();
+        })
+        .expect("a token set before the park must release it");
+        // Tokens do not accumulate: two unparks release only one park.
+        let v = expect_violation("park-token-single", &small(), || {
+            let sleeper = thread::spawn(|| {
+                thread::park();
+                thread::park();
+            });
+            let t = thread::Thread::model(1);
+            t.unpark();
+            t.unpark();
+            sleeper.join();
+        });
+        assert!(v.message.contains("deadlock"), "got: {}", v.message);
+        assert!(v.message.contains("Park"), "got: {}", v.message);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Thread facade: `spawn`/`join`/`yield_now` that pass straight through to
-//! `std::thread` normally, and become model-controlled schedule points when
-//! the calling thread belongs to an active exploration. Writing scenario
-//! code against this facade lets the *same* function back both an ordinary
-//! OS-thread stress test and a model test.
+//! Thread facade: `spawn`/`join`/`yield_now`/`park`/`unpark` that pass
+//! straight through to `std::thread` normally, and become model-controlled
+//! schedule points when the calling thread belongs to an active exploration.
+//! Writing scenario code against this facade lets the *same* function back
+//! both an ordinary OS-thread stress test and a model test.
 //!
 //! `JoinHandle::join` returns `T` directly (propagating a child panic by
 //! resuming its unwind), because the model has no meaningful
@@ -58,4 +58,65 @@ pub fn yield_now() {
         return;
     }
     std::thread::yield_now();
+}
+
+/// A handle to a thread, for [`Thread::unpark`]; obtained with [`current`].
+#[derive(Debug, Clone)]
+pub struct Thread(ThreadInner);
+
+#[derive(Debug, Clone)]
+enum ThreadInner {
+    Os(std::thread::Thread),
+    #[cfg(any(test, feature = "enable"))]
+    Model(usize),
+}
+
+impl Thread {
+    /// The handle of model thread `tid` (ids follow spawn order).
+    #[cfg(test)]
+    pub(crate) fn model(tid: usize) -> Self {
+        Self(ThreadInner::Model(tid))
+    }
+
+    /// Makes the thread's park token available: its current or next
+    /// [`park`] returns. Tokens do not accumulate (`std::thread` semantics,
+    /// which the model reproduces exactly).
+    pub fn unpark(&self) {
+        match &self.0 {
+            ThreadInner::Os(t) => t.unpark(),
+            #[cfg(any(test, feature = "enable"))]
+            ThreadInner::Model(tid) => crate::sched::point(crate::Op {
+                kind: crate::OpKind::Unpark(*tid),
+                loc: *tid,
+            }),
+        }
+    }
+}
+
+/// The calling thread's handle: its model thread when it belongs to an
+/// active exploration, its OS thread otherwise.
+#[must_use]
+pub fn current() -> Thread {
+    #[cfg(any(test, feature = "enable"))]
+    if let Some(tid) = crate::sched::current_tid() {
+        return Thread(ThreadInner::Model(tid));
+    }
+    Thread(ThreadInner::Os(std::thread::current()))
+}
+
+/// Blocks until the calling thread's park token is available, and consumes
+/// it. Under the model the thread is not runnable while the token is
+/// absent, so a lost wakeup is a reported deadlock, and there are no
+/// spurious returns; `std::thread::park` may return spuriously, so callers
+/// re-check their condition in a loop either way.
+pub fn park() {
+    #[cfg(any(test, feature = "enable"))]
+    if crate::sched::active() {
+        crate::sched::point(crate::Op {
+            kind: crate::OpKind::Park,
+            loc: 0,
+        });
+        return;
+    }
+    std::thread::park();
 }

@@ -19,7 +19,8 @@
 //!   collapse and SOR/Gauss's negative clustering),
 //! * [`Stats`] — the aggregate counters of Table 3,
 //! * [`HorizonClock`] — the shared lookahead horizon the deterministic
-//!   parallel scheduler (DESIGN.md §15) advances window by window.
+//!   parallel scheduler (DESIGN.md §15) advances window by window, and
+//!   [`WakeSlot`], the per-processor location it hands each turn over on.
 //!
 //! Nothing in this crate knows about coherence; it is the "hardware".
 
@@ -31,7 +32,7 @@ pub mod time;
 pub mod topology;
 
 pub use cost::{Backend, CostModel, FetchShape, Messaging};
-pub use lookahead::HorizonClock;
+pub use lookahead::{HorizonClock, WakeSlot};
 pub use resource::Resource;
 pub use stats::{Counter, Stats, TimeBreakdown, TimeCategory};
 pub use time::{Nanos, ProcClock};

@@ -8,9 +8,36 @@
 //! it lock-free on every operation entry and park once their virtual time
 //! reaches the window end.
 //!
-//! # The wakeup protocol
+//! Parked processors do not sleep on the horizon: the scheduler hands each
+//! one its turn through its own [`WakeSlot`] (below), and only ever to a
+//! processor it has already put inside a window.
 //!
-//! A parked processor must not miss the horizon advance that releases it
+//! # The hand-off slot
+//!
+//! A [`WakeSlot`] is one processor's private wait location: a flag plus
+//! the host thread that sleeps on it. The waker writes it once; nobody
+//! else is disturbed. The lost-wakeup argument rests on two orders:
+//!
+//! * the **waker** sets the flag *first*, then unparks the owner —
+//!   [`wake`](WakeSlot::wake);
+//! * the **owner** registers its thread *before* it first checks the flag,
+//!   and re-checks the flag every time `park` returns —
+//!   [`wait`](WakeSlot::wait).
+//!
+//! So either the owner sees the flag, or it parks after the waker's
+//! unpark was issued and the park token releases it. With the waker's two
+//! steps swapped ([`wake_mutant_unpark_first`]) the owner can consume the
+//! token, read the flag still down, and park again with no unpark left to
+//! come; `model_handoff_*` proves the explorer finds that schedule.
+//!
+//! # The horizon's own wakeup protocol
+//!
+//! [`wait_past`] has no caller in the tree but `model_scenarios::
+//! lookahead_wakeup`; the scheduler stopped using it when per-processor
+//! hand-off made the horizon sleep redundant. It stays because the repo
+//! benchmark (`benchmark/`) calls it; a benchmark issue can retire it.
+//!
+//! A sleeper on the horizon must not miss the advance that releases it
 //! (the classic lost-wakeup race: the sleeper checks the horizon, decides to
 //! sleep, and the advance lands in between). The protocol is seqlock-style,
 //! built from two atomics so the interleaving explorer can model it:
@@ -35,10 +62,13 @@
 //! [`advance_past`]: HorizonClock::advance_past
 //! [`wait_past`]: HorizonClock::wait_past
 //! [`advance_past_mutant_wake_first`]: HorizonClock::advance_past_mutant_wake_first
+//! [`wake_mutant_unpark_first`]: WakeSlot::wake_mutant_unpark_first
 
 use std::sync::atomic::Ordering;
+use std::sync::OnceLock;
 
-use cashmere_model::ModelAtomicU64;
+use cashmere_model::thread::{self, Thread};
+use cashmere_model::{ModelAtomicBool, ModelAtomicU64};
 
 use crate::time::Nanos;
 
@@ -151,9 +181,74 @@ impl HorizonClock {
     }
 }
 
+/// One waiter's private wake location: a one-shot flag plus the host
+/// thread parked on it (see the module docs for the protocol).
+///
+/// The first thread to [`wait`](Self::wait) owns the slot for good; any
+/// thread may [`wake`](Self::wake) it. Each wake releases exactly one
+/// wait, whichever comes first.
+#[derive(Debug, Default)]
+pub struct WakeSlot {
+    /// Raised by the waker, lowered by the owner as it leaves its wait.
+    flag: ModelAtomicBool,
+    /// The owner's host thread, registered on its first wait.
+    owner: OnceLock<Thread>,
+}
+
+impl WakeSlot {
+    /// An empty slot: no owner yet, flag down.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Blocks the owner until the slot has been woken since its last wait
+    /// returned. Returns at once if the wake already landed.
+    pub fn wait(&self) {
+        // Register before the first look at the flag: a waker that finds
+        // no owner skips the unpark, which is only safe if the flag it
+        // raised first is still to be read.
+        self.owner.get_or_init(thread::current);
+        // Acquire pairs with the Release store in `wake`: what the waker
+        // wrote before handing over is visible after this returns.
+        while !self.flag.swap(false, Ordering::Acquire) {
+            thread::park();
+        }
+    }
+
+    /// Releases the owner's current or next [`wait`](Self::wait).
+    pub fn wake(&self) {
+        self.flag.store(true, Ordering::Release);
+        self.unpark_owner();
+    }
+
+    /// The mutant of [`wake`](Self::wake) with its two steps swapped
+    /// (unpark before the flag). Kept compiled so the `model_handoff_*`
+    /// tests can prove the explorer catches the lost wakeup it admits.
+    #[doc(hidden)]
+    pub fn wake_mutant_unpark_first(&self) {
+        self.unpark_owner();
+        self.flag.store(true, Ordering::Release);
+    }
+
+    fn unpark_owner(&self) {
+        if let Some(t) = self.owner.get() {
+            t.unpark();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wake_before_wait_is_kept_and_consumed_once() {
+        let slot = WakeSlot::new();
+        slot.wake();
+        slot.wait();
+        assert!(!slot.flag.load(Ordering::Acquire), "wait consumes the wake");
+    }
 
     #[test]
     fn starts_closed_and_advances_on_quantum_boundaries() {

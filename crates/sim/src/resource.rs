@@ -32,16 +32,26 @@ const MAX_INTERVALS: usize = 128;
 
 /// A virtual-time resource shared by concurrently executing simulated
 /// processors. Thread-safe.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Resource {
     /// Disjoint, sorted busy intervals `(start, end)`.
     busy: Mutex<Vec<(Nanos, Nanos)>>,
 }
 
+impl Default for Resource {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Resource {
-    /// Creates a resource that is free at all times.
+    /// Creates a resource that is free at all times. The interval list is
+    /// sized for its bound up front, so [`acquire`](Self::acquire) never
+    /// allocates.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            busy: Mutex::new(Vec::with_capacity(MAX_INTERVALS + 1)),
+        }
     }
 
     /// Reserves the resource for `busy` ns, starting no earlier than `now`.

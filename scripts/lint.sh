@@ -8,10 +8,11 @@
 #       registered below. Upgrading a site to Acquire/Release removes it;
 #       adding a new Relaxed means updating the registry *and* writing the
 #       justification.
-#   std bans — std::sync::{Mutex,RwLock} and raw std::thread::spawn are
-#       banned outside crates/shims: the shims route locks and spawns
-#       through the model explorer, and std primitives are invisible to it
-#       (std::thread::scope is fine — scoped fan-out cannot leak threads).
+#   std bans — std::sync::{Mutex,RwLock} and raw std::thread::{spawn,park}
+#       are banned outside crates/shims: the shims route locks, spawns and
+#       park/unpark through the model explorer, and std primitives are
+#       invisible to it (std::thread::scope is fine — scoped fan-out cannot
+#       leak threads).
 #   recovery no-panic — unwrap()/expect() are banned in recovery paths
 #       (crates/core/src/recovery.rs and crates/faults non-test code): a
 #       recovery path that panics turns the injected fault into a crash.
@@ -30,7 +31,6 @@ crates/core/src/engine.rs
 crates/core/src/mc_lock.rs
 crates/core/src/trace.rs
 crates/core/src/write_notice.rs
-crates/core/tests/alloc_free.rs
 crates/faults/src/lib.rs
 crates/obs/src/metrics.rs
 crates/sim/src/stats.rs
@@ -84,7 +84,14 @@ if [[ -n "$raw_spawn" ]]; then
     echo "$raw_spawn" >&2
     fail=1
 fi
-echo "lint(std-bans): no std locks or raw spawns outside crates/shims"
+raw_park="$(grep -rnE --include='*.rs' 'std::thread::(park|current)' crates \
+    | grep -v '^crates/shims/' || true)"
+if [[ -n "$raw_park" ]]; then
+    echo "FAIL lint(raw-park): std::thread::{park,current} are banned outside crates/shims (use cashmere_model::thread::{park,current})" >&2
+    echo "$raw_park" >&2
+    fail=1
+fi
+echo "lint(std-bans): no std locks, raw spawns or raw parks outside crates/shims"
 
 # --- no unwrap/expect in recovery paths ------------------------------------
 
