@@ -31,8 +31,10 @@
 //! woken already implies the horizon has passed its virtual time — there is
 //! no separate sleep on the horizon. The lock-free [`HorizonClock`] remains
 //! the fast path consulted at every operation entry
-//! ([`DetHandle::checkpoint`]). The slot's flag-then-unpark protocol is the
-//! model-checked piece — see `model_scenarios::handoff_wakeup`.
+//! ([`DetHandle::checkpoint`]). Each processor's thread binds its slot in
+//! [`DetHandle::start`], before the mutex makes it visible to any waker;
+//! the slot's flag-then-unpark protocol is the model-checked piece — see
+//! `model_scenarios::handoff_wakeup`.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -88,17 +90,6 @@ pub struct DetStats {
     pub windows: u64,
     /// Wake-ups issued to other processors' slots.
     pub wakes: u64,
-}
-
-impl DetStats {
-    /// Adds `other`'s counts to this one's.
-    pub fn merge(&mut self, other: &DetStats) {
-        self.parks += other.parks;
-        self.gates += other.gates;
-        self.blocks += other.blocks;
-        self.windows += other.windows;
-        self.wakes += other.wakes;
-    }
 }
 
 #[derive(Debug)]
@@ -362,10 +353,15 @@ impl DetHandle {
         }
     }
 
-    /// Start-of-run barrier: parks at vt 0 so the first window opens only
-    /// once every processor has checked in, and no more than `workers`
-    /// processors ever run concurrently.
+    /// Start-of-run barrier, called first, on the thread that will run this
+    /// processor: parks at vt 0 so the first window opens only once every
+    /// processor has checked in, and no more than `workers` processors
+    /// ever run concurrently.
     pub fn start(&self) {
+        // Bind before the park below publishes this processor under the
+        // state lock: whoever later releases it took that lock after us,
+        // so its wake finds the thread to unpark.
+        self.sched.slots[self.id].bind();
         self.park(0);
     }
 
@@ -619,6 +615,39 @@ mod tests {
                 assert!(m.contains(&waiter), "{m}");
             }
         }
+    }
+
+    #[test]
+    fn first_wait_on_a_fresh_slot_is_never_slept_through() {
+        // A slot's first wait is the one that could race its owner's
+        // registration, and it happens once per scheduler: at the start
+        // barrier, where the first processor to park goes to sleep just as
+        // the second opens window 0 and wakes it. Two host threads walk a
+        // row of fresh schedulers through exactly that, meeting on a spin
+        // count before each so both reach `start` together. A lost
+        // wake-up leaves one asleep with the other spinning for it, and
+        // the scope never returns.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let fresh: Vec<_> = (0..100_000)
+            .map(|_| Arc::new(DetScheduler::new(2, 2, 100)))
+            .collect();
+        let arrived = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for p in 0..2 {
+                let (fresh, arrived) = (&fresh, &arrived);
+                s.spawn(move || {
+                    for (i, sched) in fresh.iter().enumerate() {
+                        let h = sched.handle(p);
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        while arrived.load(Ordering::SeqCst) < 2 * (i + 1) {
+                            std::hint::spin_loop();
+                        }
+                        h.start();
+                        h.finish();
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -392,8 +392,11 @@ pub fn lookahead_wakeup(mutant: bool) {
 /// The deterministic scheduler's turn hand-off (DESIGN.md §15): two parties
 /// pass one turn back and forth `rounds` times, each sleeping on its own
 /// [`WakeSlot`] and woken only by the other — the shape of a gate grant
-/// followed by the granter's own wait. The waker raises the flag and then
-/// unparks; the sleeper registers, then re-checks the flag around every
+/// followed by the granter's own wait. Each party binds its slot before
+/// the other can reach it, as a processor does in `DetHandle::start`: the
+/// calling thread is party 1 and binds before it spawns party 0, whose
+/// own slot is first woken only after its first turn. The waker raises the
+/// flag and then unparks; the sleeper re-checks the flag around every
 /// park. Every turn must be taken in order (a wake releases exactly one
 /// wait, and a stale park token releases none), and nobody may sleep
 /// through its wake. With `mutant`, the waker unparks *before* raising the
@@ -403,35 +406,37 @@ pub fn lookahead_wakeup(mutant: bool) {
 pub fn handoff_wakeup(rounds: u64, mutant: bool) {
     let slots = Arc::new([WakeSlot::new(), WakeSlot::new()]);
     let turn = Arc::new(ModelAtomicU64::new(0));
-    let parties: Vec<_> = (0..2usize)
-        .map(|me| {
-            let slots = Arc::clone(&slots);
-            let turn = Arc::clone(&turn);
-            thread::spawn(move || {
-                for r in 0..rounds {
-                    // Party 0 starts with the turn; every later turn is
-                    // handed over.
-                    if r > 0 || me == 1 {
-                        slots[me].wait();
-                    }
-                    assert_eq!(
-                        turn.fetch_add(1, Ordering::SeqCst),
-                        2 * r + me as u64,
-                        "party {me} woken out of turn"
-                    );
-                    let peer = &slots[1 - me];
-                    if mutant {
-                        peer.wake_mutant_unpark_first();
-                    } else {
-                        peer.wake();
-                    }
+    let party = |me: usize| {
+        let slots = Arc::clone(&slots);
+        let turn = Arc::clone(&turn);
+        move || {
+            if me == 0 {
+                slots[0].bind();
+            }
+            for r in 0..rounds {
+                // Party 0 starts with the turn; every later turn is
+                // handed over.
+                if r > 0 || me == 1 {
+                    slots[me].wait();
                 }
-            })
-        })
-        .collect();
-    for h in parties {
-        h.join();
-    }
+                assert_eq!(
+                    turn.fetch_add(1, Ordering::SeqCst),
+                    2 * r + me as u64,
+                    "party {me} woken out of turn"
+                );
+                let peer = &slots[1 - me];
+                if mutant {
+                    peer.wake_mutant_unpark_first();
+                } else {
+                    peer.wake();
+                }
+            }
+        }
+    };
+    slots[1].bind();
+    let peer = thread::spawn(party(0));
+    party(1)();
+    peer.join();
     assert_eq!(turn.load(Ordering::SeqCst), 2 * rounds);
 }
 

@@ -219,12 +219,12 @@ impl Cluster {
                 .map(|h| h.join().expect("simulated processor panicked"))
                 .collect()
         });
-        self.det_stats.lock().merge(&sched.stats());
+        *self.det_stats.lock() = sched.stats();
         self.collect_report(&results)
     }
 
-    /// Scheduler traffic summed over this cluster's deterministic runs
-    /// (all zero on the free-running engine). Kept off [`Report`], whose
+    /// Scheduler traffic of this cluster's last deterministic run (all
+    /// zero if there was none). Kept off [`Report`], whose
     /// bytes are the same at every worker count; `wakes` need not be.
     #[doc(hidden)]
     pub fn det_stats(&self) -> DetStats {

@@ -114,8 +114,8 @@ fn det_scheduler_steady_state_is_allocation_free() {
         // here is shared, so the only scheduler traffic is windows and
         // bus-settle gates.
         let mine = base + p.id() * 512;
-        // Warm-up: the fault and the first windows (each host thread
-        // registers with its wake slot on its first sleep).
+        // Warm-up: the fault, the first windows, and each bus's interval
+        // list (reserved on first use).
         det_burst(p, mine, 5_000);
         let before = allocs();
         det_burst(p, mine, 20_000);

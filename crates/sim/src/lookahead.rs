@@ -16,19 +16,24 @@
 //!
 //! A [`WakeSlot`] is one processor's private wait location: a flag plus
 //! the host thread that sleeps on it. The waker writes it once; nobody
-//! else is disturbed. The lost-wakeup argument rests on two orders:
+//! else is disturbed. The owner [`bind`](WakeSlot::bind)s its thread to
+//! the slot once, before anything that lets a waker reach it (the
+//! scheduler binds in `start`, ahead of the mutex under which a waker
+//! first learns the processor is parked), so a wake always has a thread to
+//! unpark. The lost-wakeup argument then rests on two orders:
 //!
 //! * the **waker** sets the flag *first*, then unparks the owner —
 //!   [`wake`](WakeSlot::wake);
-//! * the **owner** registers its thread *before* it first checks the flag,
-//!   and re-checks the flag every time `park` returns —
+//! * the **owner** re-checks the flag every time `park` returns —
 //!   [`wait`](WakeSlot::wait).
 //!
-//! So either the owner sees the flag, or it parks after the waker's
-//! unpark was issued and the park token releases it. With the waker's two
-//! steps swapped ([`wake_mutant_unpark_first`]) the owner can consume the
-//! token, read the flag still down, and park again with no unpark left to
-//! come; `model_handoff_*` proves the explorer finds that schedule.
+//! `park`/`unpark` keep a one-deep token and synchronize through it (the
+//! `std::thread` contract, which the model reproduces): an unpark issued
+//! before the owner parks makes that `park` return at once, with the flag
+//! store before it visible; one issued after wakes it. With the waker's
+//! two steps swapped ([`wake_mutant_unpark_first`]) the owner can consume
+//! the token, read the flag still down, and park again with no unpark left
+//! to come; `model_handoff_*` proves the explorer finds that schedule.
 //!
 //! # The horizon's own wakeup protocol
 //!
@@ -155,8 +160,8 @@ impl HorizonClock {
     ///
     /// `sleep(epoch)` must block until [`sleep_epoch`](Self::sleep_epoch)
     /// differs from `epoch` (spurious returns are fine — the loop
-    /// re-checks). The scheduler passes a condvar wait; the model scenario
-    /// passes a yielding spin.
+    /// re-checks): a condvar wait on real threads, a yielding spin in the
+    /// model scenario.
     pub fn wait_past(&self, vt: Nanos, mut sleep: impl FnMut(u64)) {
         loop {
             if !self.past(vt) {
@@ -184,31 +189,35 @@ impl HorizonClock {
 /// One waiter's private wake location: a one-shot flag plus the host
 /// thread parked on it (see the module docs for the protocol).
 ///
-/// The first thread to [`wait`](Self::wait) owns the slot for good; any
-/// thread may [`wake`](Self::wake) it. Each wake releases exactly one
-/// wait, whichever comes first.
+/// The thread that [`bind`](Self::bind)s the slot owns it for good and is
+/// the only one to [`wait`](Self::wait) on it; any thread may
+/// [`wake`](Self::wake) it once the bind happens-before that wake. Each
+/// wake releases exactly one wait, whichever comes first.
 #[derive(Debug, Default)]
 pub struct WakeSlot {
     /// Raised by the waker, lowered by the owner as it leaves its wait.
     flag: ModelAtomicBool,
-    /// The owner's host thread, registered on its first wait.
+    /// The owner's host thread.
     owner: OnceLock<Thread>,
 }
 
 impl WakeSlot {
-    /// An empty slot: no owner yet, flag down.
+    /// An unbound slot, flag down.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Makes the calling thread the slot's owner. Call once, before
+    /// publishing whatever lets a waker find this slot.
+    pub fn bind(&self) {
+        let fresh = self.owner.set(thread::current()).is_ok();
+        assert!(fresh, "WakeSlot bound twice");
+    }
+
     /// Blocks the owner until the slot has been woken since its last wait
     /// returned. Returns at once if the wake already landed.
     pub fn wait(&self) {
-        // Register before the first look at the flag: a waker that finds
-        // no owner skips the unpark, which is only safe if the flag it
-        // raised first is still to be read.
-        self.owner.get_or_init(thread::current);
         // Acquire pairs with the Release store in `wake`: what the waker
         // wrote before handing over is visible after this returns.
         while !self.flag.swap(false, Ordering::Acquire) {
@@ -232,9 +241,10 @@ impl WakeSlot {
     }
 
     fn unpark_owner(&self) {
-        if let Some(t) = self.owner.get() {
-            t.unpark();
-        }
+        self.owner
+            .get()
+            .expect("WakeSlot woken before its owner bound it")
+            .unpark();
     }
 }
 
@@ -245,6 +255,7 @@ mod tests {
     #[test]
     fn wake_before_wait_is_kept_and_consumed_once() {
         let slot = WakeSlot::new();
+        slot.bind();
         slot.wake();
         slot.wait();
         assert!(!slot.flag.load(Ordering::Acquire), "wait consumes the wake");

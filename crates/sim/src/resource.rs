@@ -32,26 +32,16 @@ const MAX_INTERVALS: usize = 128;
 
 /// A virtual-time resource shared by concurrently executing simulated
 /// processors. Thread-safe.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Resource {
     /// Disjoint, sorted busy intervals `(start, end)`.
     busy: Mutex<Vec<(Nanos, Nanos)>>,
 }
 
-impl Default for Resource {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Resource {
-    /// Creates a resource that is free at all times. The interval list is
-    /// sized for its bound up front, so [`acquire`](Self::acquire) never
-    /// allocates.
+    /// Creates a resource that is free at all times.
     pub fn new() -> Self {
-        Self {
-            busy: Mutex::new(Vec::with_capacity(MAX_INTERVALS + 1)),
-        }
+        Self::default()
     }
 
     /// Reserves the resource for `busy` ns, starting no earlier than `now`.
@@ -65,6 +55,11 @@ impl Resource {
             return now;
         }
         let mut iv = self.busy.lock();
+        if iv.capacity() == 0 {
+            // Size the list for its bound on first use: later acquires
+            // never allocate, and a resource nobody touches costs nothing.
+            iv.reserve_exact(MAX_INTERVALS + 1);
+        }
         // Find the earliest gap of length `busy` starting at or after `now`.
         let mut start = now;
         let mut insert_at = iv.len();

@@ -15,6 +15,9 @@
 #   4. records the multi-worker wallclock ratio (informational — the
 #      byte-identity is the gated property), then writes BENCH_detpar.json
 #      (seed, jobs, and backend echoed for provenance).
+# Before the harness it runs the hand-off slot's first-wait stress test
+# optimized: the lost wake-up it guards against (DESIGN.md §15.4) only ever
+# showed in a release build.
 #
 # Usage:
 #   scripts/detpar.sh                      # default seed (24301)
@@ -22,5 +25,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+cargo test --release -p cashmere-core --offline -q --lib first_wait_on_a_fresh_slot
 cargo build --release -p cashmere-bench --offline
 exec target/release/detpar --seed "${DETPAR_SEED:-24301}"
