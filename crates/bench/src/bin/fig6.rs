@@ -7,7 +7,7 @@
 //! Comm & Wait, and (1L only) Write Doubling.
 
 use cashmere_apps::{suite, Scale};
-use cashmere_bench::{run_best, save_records, Record, RunOpts};
+use cashmere_bench::{execute_best, paper_spec, save_records, Record};
 use cashmere_core::{ProtocolKind, TimeCategory};
 
 fn main() {
@@ -20,25 +20,17 @@ fn main() {
         let outs: Vec<_> = ProtocolKind::PAPER_FOUR
             .iter()
             .map(|&p| {
-                (
-                    p,
-                    run_best(
-                        app.as_ref(),
-                        p,
-                        32,
-                        4,
-                        RunOpts::default(),
-                        app.timing_reps(),
-                    ),
-                )
+                let spec = paper_spec(p, 32, 4);
+                let out = execute_best(app.as_ref(), &spec, app.timing_reps());
+                (spec, out)
             })
             .collect();
         let base = outs[0].1.report.exec_ns.max(1); // 2L execution time
         println!();
         println!("--- {} ---", app.name());
         print!("{:<16}", "Component");
-        for (p, _) in &outs {
-            print!("{:>9}", p.label());
+        for (spec, _) in &outs {
+            print!("{:>9}", spec.protocol.label());
         }
         println!();
         for cat in TimeCategory::ALL {
@@ -56,8 +48,8 @@ fn main() {
             print!("{:>8.1}%", out.report.exec_ns as f64 / base as f64 * 100.0);
         }
         println!();
-        for (p, out) in &outs {
-            records.push(Record::new("fig6", app.name(), *p, 32, 4, out, 0));
+        for (spec, out) in &outs {
+            records.push(Record::new("fig6", app.name(), spec, out, 0));
         }
     }
     save_records("fig6", &records);

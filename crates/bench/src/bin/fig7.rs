@@ -7,7 +7,7 @@
 //! Speedups are relative to the uninstrumented sequential time (Table 2).
 
 use cashmere_apps::{suite, Scale};
-use cashmere_bench::{run_best, save_records, sequential, Record, RunOpts, PAPER_CONFIGS};
+use cashmere_bench::{execute_best, paper_spec, save_records, sequential, Record, PAPER_CONFIGS};
 use cashmere_core::ProtocolKind;
 
 fn main() {
@@ -46,24 +46,10 @@ fn main() {
                 ProtocolKind::OneLevelWrite,
                 ProtocolKind::OneLevelWriteHome,
             ] {
-                let out = run_best(
-                    app.as_ref(),
-                    protocol,
-                    total,
-                    per_node,
-                    RunOpts::default(),
-                    app.timing_reps(),
-                );
+                let spec = paper_spec(protocol, total, per_node);
+                let out = execute_best(app.as_ref(), &spec, app.timing_reps());
                 print!("{:>8.2}", out.report.speedup(seq_ns));
-                records.push(Record::new(
-                    "fig7",
-                    app.name(),
-                    protocol,
-                    total,
-                    per_node,
-                    &out,
-                    seq_ns,
-                ));
+                records.push(Record::new("fig7", app.name(), &spec, &out, seq_ns));
             }
             println!();
         }

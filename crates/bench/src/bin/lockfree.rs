@@ -7,7 +7,7 @@
 //! volume of directory accesses and write notices.
 
 use cashmere_apps::{suite, Scale};
-use cashmere_bench::{fmt_k, run_best, save_records, Record, RunOpts};
+use cashmere_bench::{execute_best, fmt_k, paper_spec, save_records, Record};
 use cashmere_core::{DirectoryMode, ProtocolKind};
 
 fn main() {
@@ -21,26 +21,11 @@ fn main() {
         "App", "lock-free (s)", "global-lock (s)", "gain", "dir.updates", "notices"
     );
     println!("{:-<77}", "");
+    let free_spec = paper_spec(ProtocolKind::TwoLevel, 32, 4);
+    let locked_spec = free_spec.clone().with_directory(DirectoryMode::GlobalLock);
     for app in &apps {
-        let free = run_best(
-            app.as_ref(),
-            ProtocolKind::TwoLevel,
-            32,
-            4,
-            RunOpts::default(),
-            3,
-        );
-        let locked = run_best(
-            app.as_ref(),
-            ProtocolKind::TwoLevel,
-            32,
-            4,
-            RunOpts {
-                directory: Some(DirectoryMode::GlobalLock),
-                ..Default::default()
-            },
-            3,
-        );
+        let free = execute_best(app.as_ref(), &free_spec, 3);
+        let locked = execute_best(app.as_ref(), &locked_spec, 3);
         println!(
             "{:<9}{:>16.3}{:>16.3}{:>11.1}%{:>12}{:>12}",
             app.name(),
@@ -50,21 +35,11 @@ fn main() {
             fmt_k(free.report.counters.directory_updates),
             fmt_k(free.report.counters.write_notices),
         );
-        records.push(Record::new(
-            "lockfree",
-            app.name(),
-            ProtocolKind::TwoLevel,
-            32,
-            4,
-            &free,
-            0,
-        ));
+        records.push(Record::new("lockfree", app.name(), &free_spec, &free, 0));
         records.push(Record::new(
             "lockfree_gl",
             app.name(),
-            ProtocolKind::TwoLevel,
-            32,
-            4,
+            &locked_spec,
             &locked,
             0,
         ));

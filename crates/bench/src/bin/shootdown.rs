@@ -7,7 +7,7 @@
 //! instead of 72 µs).
 
 use cashmere_apps::{suite, Scale};
-use cashmere_bench::{run_best, save_records, Record, RunOpts};
+use cashmere_bench::{execute_best, paper_spec, save_records, Record};
 use cashmere_core::{Messaging, ProtocolKind};
 
 fn main() {
@@ -21,34 +21,13 @@ fn main() {
         "App", "2L (s)", "2LS-poll (s)", "2LS-intr (s)", "shootdowns", "intr. slowdown"
     );
     println!("{:-<77}", "");
+    let two_spec = paper_spec(ProtocolKind::TwoLevel, 32, 4);
+    let shoot_spec = paper_spec(ProtocolKind::TwoLevelShootdown, 32, 4);
+    let intr_spec = shoot_spec.clone().with_messaging(Messaging::Interrupt);
     for app in &apps {
-        let two = run_best(
-            app.as_ref(),
-            ProtocolKind::TwoLevel,
-            32,
-            4,
-            RunOpts::default(),
-            3,
-        );
-        let shoot_poll = run_best(
-            app.as_ref(),
-            ProtocolKind::TwoLevelShootdown,
-            32,
-            4,
-            RunOpts::default(),
-            3,
-        );
-        let shoot_intr = run_best(
-            app.as_ref(),
-            ProtocolKind::TwoLevelShootdown,
-            32,
-            4,
-            RunOpts {
-                messaging: Messaging::Interrupt,
-                ..Default::default()
-            },
-            3,
-        );
+        let two = execute_best(app.as_ref(), &two_spec, 3);
+        let shoot_poll = execute_best(app.as_ref(), &shoot_spec, 3);
+        let shoot_intr = execute_best(app.as_ref(), &intr_spec, 3);
         println!(
             "{:<9}{:>12.3}{:>14.3}{:>16.3}{:>12}{:>13.1}%",
             app.name(),
@@ -58,21 +37,11 @@ fn main() {
             shoot_poll.report.counters.shootdowns,
             (shoot_intr.report.exec_secs() / shoot_poll.report.exec_secs() - 1.0) * 100.0,
         );
+        records.push(Record::new("shootdown", app.name(), &two_spec, &two, 0));
         records.push(Record::new(
             "shootdown",
             app.name(),
-            ProtocolKind::TwoLevel,
-            32,
-            4,
-            &two,
-            0,
-        ));
-        records.push(Record::new(
-            "shootdown",
-            app.name(),
-            ProtocolKind::TwoLevelShootdown,
-            32,
-            4,
+            &shoot_spec,
             &shoot_poll,
             0,
         ));

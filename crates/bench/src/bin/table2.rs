@@ -7,8 +7,7 @@
 //! ordering* of the applications' compute demands is what carries over.
 
 use cashmere_apps::{suite, Scale};
-use cashmere_bench::{save_records, sequential, Record};
-use cashmere_core::ProtocolKind;
+use cashmere_bench::{save_records, sequential, sequential_spec, Record};
 
 fn main() {
     println!("Table 2: Data set sizes and sequential execution times (simulated)");
@@ -30,9 +29,7 @@ fn main() {
         records.push(Record::new(
             "table2",
             app.name(),
-            ProtocolKind::TwoLevel,
-            1,
-            1,
+            &sequential_spec(),
             &out,
             0,
         ));

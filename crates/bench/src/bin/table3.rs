@@ -8,7 +8,7 @@
 //! 2LS). All counters aggregate over the 32 processors.
 
 use cashmere_apps::{suite, Scale};
-use cashmere_bench::{fmt_k, fmt_mb, run_best, save_records, Record, RunOpts};
+use cashmere_bench::{execute_best, fmt_k, fmt_mb, paper_spec, save_records, Record};
 use cashmere_core::ProtocolKind;
 
 fn main() {
@@ -20,21 +20,13 @@ fn main() {
     for protocol in ProtocolKind::PAPER_FOUR {
         println!();
         println!("=== {} ===", protocol.label());
+        let spec = paper_spec(protocol, 32, 4);
         let outs: Vec<_> = apps
             .iter()
-            .map(|a| {
-                run_best(
-                    a.as_ref(),
-                    protocol,
-                    32,
-                    4,
-                    RunOpts::default(),
-                    a.timing_reps(),
-                )
-            })
+            .map(|a| execute_best(a.as_ref(), &spec, a.timing_reps()))
             .collect();
         for (app, out) in apps.iter().zip(outs.iter()) {
-            records.push(Record::new("table3", app.name(), protocol, 32, 4, out, 0));
+            records.push(Record::new("table3", app.name(), &spec, out, 0));
         }
 
         print!("{:<26}", "Application");

@@ -5,7 +5,7 @@
 //! (as the paper does) for the nondeterministic applications.
 
 use cashmere_apps::{suite, Scale};
-use cashmere_bench::{run_best, sequential, RunOpts};
+use cashmere_bench::{execute_best, paper_spec, sequential};
 use cashmere_core::ProtocolKind;
 
 struct Check {
@@ -24,16 +24,7 @@ fn main() {
         let seq = sequential(app.as_ref());
         let outs: Vec<_> = ProtocolKind::PAPER_FOUR
             .iter()
-            .map(|&p| {
-                run_best(
-                    app.as_ref(),
-                    p,
-                    32,
-                    4,
-                    RunOpts::default(),
-                    app.timing_reps(),
-                )
-            })
+            .map(|&p| execute_best(app.as_ref(), &paper_spec(p, 32, 4), app.timing_reps()))
             .collect();
         at32.push((app.name(), seq, outs));
     }

@@ -1,5 +1,5 @@
-//! Deterministic virtual-time golden generation, shared by the `wallclock`
-//! drift gate and the `soak` fault-injection harness.
+//! Deterministic virtual-time golden generation, behind the gate harness's
+//! one golden preflight ([`crate::gate::Ctx::golden`]).
 //!
 //! Parallel runs are *virtual-time nondeterministic* (OS thread scheduling
 //! perturbs `Resource` gap placement and lock grant order; see DESIGN.md),
@@ -13,14 +13,13 @@
 //!   recording every processor clock and protocol counter.
 //!
 //! Both probes accept an optional [`FaultPlan`], an audit switch, and an
-//! observability switch: the soak harness regenerates the goldens with an
+//! observability switch: the `soak` gate regenerates the goldens with an
 //! installed-but-empty plan (and the trace recorder on) to prove the
 //! fault-injection interposition points are charge-free when no rule
-//! fires, and the `obsgate` harness regenerates them with observability on
+//! fires, and the `obsgate` gate regenerates them with observability on
 //! to prove the span/metrics hooks are too — the output must stay
 //! byte-identical to `results/vt_golden.jsonl` either way.
 
-use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -31,7 +30,7 @@ use cashmere_core::{
     TraceEvent, PAGE_WORDS,
 };
 
-use crate::{json_str, run_with, RunOpts};
+use crate::{execute_on, json_arr, json_map, jsonl_field, sequential_spec, Obj};
 
 /// One golden regeneration pass: the JSONL contents plus the per-probe
 /// traces (empty unless auditing was requested).
@@ -55,127 +54,69 @@ pub fn build_goldens(
     apps: &[Box<dyn Benchmark>],
     plan: Option<&Arc<FaultPlan>>,
     audit: bool,
-    verbose: bool,
     obs: bool,
 ) -> GoldenRun {
-    let mut s = String::new();
+    let mut jsonl = String::new();
     let mut seq_secs = Vec::new();
     let mut traces = Vec::new();
     for app in apps {
-        let opts = RunOpts {
-            uninstrumented: true,
-            obs,
-            ..RunOpts::default()
-        };
-        let (out, trace) = run_with(
-            app.as_ref(),
-            ProtocolKind::TwoLevel,
-            1,
-            1,
-            opts,
-            plan.cloned(),
-            audit,
-        );
+        let mut spec = sequential_spec().with_audit(audit).with_obs(obs);
+        spec.fault_plan = plan.cloned();
+        let (out, cluster) = execute_on(app.as_ref(), &spec);
         seq_secs.push((app.name(), out.report.exec_secs()));
-        traces.push((format!("sequential {}", app.name()), trace));
-        let mut line = String::new();
-        line.push('{');
-        json_str(&mut line, "experiment", "vt_golden");
-        line.push(',');
-        json_str(&mut line, "kind", "sequential");
-        line.push(',');
-        json_str(&mut line, "app", app.name());
-        let _ = write!(
-            line,
-            ",\"exec_ns\":{},\"checksum\":{}}}",
-            out.report.exec_ns, out.checksum
-        );
-        if verbose {
-            println!(
-                "vt_golden seq    {:8} exec_ns={}",
-                app.name(),
-                out.report.exec_ns
-            );
-        }
-        s.push_str(&line);
-        s.push('\n');
+        traces.push((format!("sequential {}", app.name()), cluster.take_trace()));
+        let line = Obj::new()
+            .str("experiment", "vt_golden")
+            .str("kind", "sequential")
+            .str("app", app.name())
+            .val("exec_ns", out.report.exec_ns)
+            .val("checksum", out.checksum)
+            .finish();
+        jsonl.push_str(&line);
+        jsonl.push('\n');
     }
     for p in ProtocolKind::PAPER_FOUR {
-        let (clocks, counters, trace) = replay(p, plan.cloned(), audit, obs);
+        let (clocks, counters, trace) =
+            replay_on(Backend::MemoryChannel, p, plan.cloned(), audit, obs);
         traces.push((format!("replay {}", p.label()), trace));
-        let total: u64 = clocks.iter().sum();
-        let mut line = String::new();
-        line.push('{');
-        json_str(&mut line, "experiment", "vt_golden");
-        line.push(',');
-        json_str(&mut line, "kind", "replay");
-        line.push(',');
-        json_str(&mut line, "protocol", p.label());
-        let _ = write!(line, ",\"total_ns\":{total},\"clock_ns\":[");
-        for (i, c) in clocks.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "{c}");
-        }
-        line.push_str("],\"counters\":{");
-        for (i, (k, v)) in counters.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "\"{k}\":{v}");
-        }
-        line.push_str("}}");
-        if verbose {
-            println!("vt_golden replay {:4} total_ns={total}", p.label());
-        }
-        s.push_str(&line);
-        s.push('\n');
+        let line = Obj::new()
+            .str("experiment", "vt_golden")
+            .str("kind", "replay")
+            .str("protocol", p.label())
+            .val("total_ns", clocks.iter().sum::<u64>())
+            .val("clock_ns", json_arr(&clocks))
+            .val("counters", json_map(counters))
+            .finish();
+        jsonl.push_str(&line);
+        jsonl.push('\n');
     }
     GoldenRun {
-        jsonl: s,
+        jsonl,
         seq_secs,
         traces,
     }
 }
 
 /// Cross-checks the deterministic sequential runs against the committed
-/// `results/table2.jsonl` (its 1:1 rows were produced by the same
+/// `table2.jsonl` at `path` (its 1:1 rows were produced by the same
 /// `sequential()` entry point). Returns the number of mismatches.
-pub fn check_table2(seq_secs: &[(&'static str, f64)]) -> usize {
-    let path = Path::new("results/table2.jsonl");
+pub fn check_table2(path: &Path, seq_secs: &[(&'static str, f64)]) -> usize {
     let Ok(committed) = std::fs::read_to_string(path) else {
         eprintln!("[no {} — sequential cross-check skipped]", path.display());
         return 0;
     };
     let mut failures = 0;
     for &(name, got) in seq_secs {
-        let Some(line) = committed.lines().find(|l| {
-            l.contains(&format!("\"app\":\"{name}\"")) && l.contains("\"config\":\"1:1\"")
-        }) else {
+        let Some(want) = jsonl_field(&committed, &[("app", name), ("config", "1:1")], "exec_secs")
+        else {
             continue;
         };
-        let Some(want) = field_f64(line, "exec_secs") else {
-            continue;
-        };
-        if got.to_bits() == want.to_bits() {
-            println!("table2 seq       {name:8} OK ({got:?}s)");
-        } else {
+        if got.to_bits() != want.to_bits() {
             failures += 1;
             eprintln!("table2 seq       {name:8} DRIFT: committed {want:?}s, regenerated {got:?}s");
         }
     }
     failures
-}
-
-/// Extracts a numeric field from one JSONL line (hand-rolled: no external
-/// deps in this container).
-pub fn field_f64(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].parse().ok()
 }
 
 /// Scripted single-threaded protocol replay: 2 nodes × 2 processors, driven
@@ -189,17 +130,7 @@ pub fn field_f64(line: &str, key: &str) -> Option<f64> {
 /// `[512, 960)`), keeping the script data-race-free at word granularity —
 /// the protocols' programming model — while still exercising two-way
 /// diffing, shootdown, and run-shaped diffs.
-#[allow(clippy::type_complexity)]
-pub fn replay(
-    protocol: ProtocolKind,
-    plan: Option<Arc<FaultPlan>>,
-    audit: bool,
-    obs: bool,
-) -> (Vec<u64>, Vec<(&'static str, u64)>, Vec<TraceEvent>) {
-    replay_on(Backend::MemoryChannel, protocol, plan, audit, obs)
-}
-
-/// [`replay`] on an explicit interconnect backend (DESIGN.md §14). The
+/// The replay runs on an explicit interconnect backend (DESIGN.md §14). The
 /// script is fully deterministic on every backend, so the clocks and
 /// counters it returns are exact per-backend cost fingerprints — the
 /// `xbackend` harness uses them to prove direct-read backends issue fewer

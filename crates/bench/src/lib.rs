@@ -14,22 +14,27 @@
 //! | `lockfree`  | §3.3.5 — lock-free vs global-lock protocol structures |
 //!
 //! Each binary prints a human-readable table and appends a machine-readable
-//! JSON record to `results/` (used to assemble EXPERIMENTS.md).
+//! JSON record to `results/` (used to assemble EXPERIMENTS.md). A run is
+//! described by a [`RunSpec`] and nothing else: [`paper_spec`] names a
+//! paper configuration, [`execute`] runs an application under one.
+//!
+//! The gates — wallclock, soak, obsgate, service, scaling, detpar, xbackend
+//! — are phase lists ([`gates`]) over one harness ([`gate`]) behind one
+//! binary, `gate` (`scripts/gate.sh`; DESIGN.md §16).
 
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write as _};
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::Arc;
 
 use cashmere_apps::{AppOutcome, Benchmark};
-use cashmere_core::{
-    Backend, Cluster, DirectoryMode, FaultPlan, Messaging, Nanos, ProtocolKind, RunSpec, Topology,
-    TraceEvent,
-};
+use cashmere_core::{Cluster, Nanos, ProtocolKind, RunSpec, Topology};
+use cashmere_obs::json::push_str_escaped;
 
+pub mod gate;
+pub mod gates;
 pub mod golden;
 pub mod obsout;
-pub mod sweep;
 
 /// The paper's Figure 7 cluster configurations, as `(processors,
 /// processes-per-node)` pairs: 4:1, 4:4, 8:1, 8:2, 8:4, 16:2, 16:4, 24:3,
@@ -46,147 +51,51 @@ pub const PAPER_CONFIGS: [(usize, usize); 9] = [
     (32, 4),
 ];
 
-/// Options perturbing a run beyond protocol/topology.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunOpts {
-    /// Directory/write-notice locking ablation (§3.3.5). `None` keeps the
-    /// topology default ([`DirectoryMode::default_for`]: the paper's
-    /// replicated lock-free directory up to 8 physical nodes, home-sharded
-    /// `Sparse` beyond).
-    pub directory: Option<DirectoryMode>,
-    /// Interconnect backend (DESIGN.md §14). [`Backend::MemoryChannel`]
-    /// (the default) is the paper's network and what every golden assumes;
-    /// `rdma`/`cxl` swap the cost model and the page-fetch shape.
-    pub backend: Backend,
-    /// Request-delivery mechanism (§3.3.4).
-    pub messaging: Messaging,
-    /// Force the polling-overhead fraction to zero (the paper's
-    /// "uninstrumented" sequential runs).
-    pub uninstrumented: bool,
-    /// Record observability data (`Report::obs`): spans, the Figure-7
-    /// breakdown, counters/histograms, page heat, and link traffic.
-    pub obs: bool,
-    /// Run the simulated processors on this many host workers under the
-    /// deterministic parallel engine (DESIGN.md §15). `None` keeps the
-    /// sequential engine — the mode every committed golden was captured
-    /// under (the det engine reproduces them byte-for-byte; the `detpar`
-    /// gate asserts it).
-    pub det_workers: Option<usize>,
-}
-
-/// Parses the value of a `--backend` flag shared by every driver binary
-/// (`mc`, `rdma`, or `cxl` — [`Backend::label`]); panics with the accepted
-/// set otherwise.
-pub fn parse_backend(value: Option<String>) -> Backend {
-    let v = value.unwrap_or_else(|| panic!("--backend requires one of mc, rdma, cxl"));
-    Backend::from_label(&v)
-        .unwrap_or_else(|| panic!("unknown backend {v:?} (supported: mc, rdma, cxl)"))
-}
-
-/// Runs `app` under `protocol` on a `total`:`per_node` configuration.
-pub fn run(
-    app: &dyn Benchmark,
-    protocol: ProtocolKind,
-    total: usize,
-    per_node: usize,
-    opts: RunOpts,
-) -> AppOutcome {
-    run_with(app, protocol, total, per_node, opts, None, false).0
-}
-
-/// [`run`] with the fault-injection and auditing knobs exposed: installs
-/// `plan` (when given) before the cluster is built and, when `audit` is
-/// set, records the protocol event stream and returns it alongside the
-/// outcome for `cashmere_check::audit`. The trace is empty when `audit`
-/// is off.
-pub fn run_with(
-    app: &dyn Benchmark,
-    protocol: ProtocolKind,
-    total: usize,
-    per_node: usize,
-    opts: RunOpts,
-    plan: Option<Arc<FaultPlan>>,
-    audit: bool,
-) -> (AppOutcome, Vec<TraceEvent>) {
-    let mut cluster = build_with(app, protocol, total, per_node, opts, plan, audit);
-    let out = app.execute(&mut cluster);
-    let trace = cluster.take_trace();
-    (out, trace)
-}
-
-/// The cluster [`run_with`] executes `app` on, for callers that want to
-/// look at it after the run.
-pub fn build_with(
-    app: &dyn Benchmark,
-    protocol: ProtocolKind,
-    total: usize,
-    per_node: usize,
-    opts: RunOpts,
-    plan: Option<Arc<FaultPlan>>,
-    audit: bool,
-) -> Cluster {
+/// The spec of `protocol` on the paper configuration `total`:`per_node`
+/// with every toggle at its default.
+#[must_use]
+pub fn paper_spec(protocol: ProtocolKind, total: usize, per_node: usize) -> RunSpec {
     let topo = Topology::from_paper_config(total, per_node)
         .unwrap_or_else(|| panic!("bad paper config {total}:{per_node}"));
-    let mut spec = RunSpec::new(topo, protocol)
-        .with_directory(
-            opts.directory
-                .unwrap_or_else(|| DirectoryMode::default_for(&topo)),
-        )
-        .with_transport(opts.backend)
-        .with_messaging(opts.messaging)
-        .uninstrumented(opts.uninstrumented)
-        .with_audit(audit)
-        .with_obs(opts.obs);
-    if let Some(w) = opts.det_workers {
-        spec = spec.with_det_parallel(w);
-    }
-    if let Some(p) = plan {
-        spec = spec.with_faults(p);
-    }
-    spec.build_cluster(|cfg| app.configure(cfg))
+    RunSpec::new(topo, protocol)
+}
+
+/// Runs `app` on the cluster `spec` describes and returns the cluster too,
+/// for callers that read the trace or the engine back.
+pub fn execute_on(app: &dyn Benchmark, spec: &RunSpec) -> (AppOutcome, Cluster) {
+    let mut cluster = spec.build_cluster(|cfg| app.configure(cfg));
+    (app.execute(&mut cluster), cluster)
+}
+
+/// Runs `app` on the cluster `spec` describes.
+pub fn execute(app: &dyn Benchmark, spec: &RunSpec) -> AppOutcome {
+    execute_on(app, spec).0
+}
+
+/// A topology in the paper's `P:k` notation (total processors : per node).
+#[must_use]
+pub fn config_label(topology: &Topology) -> String {
+    format!("{}:{}", topology.total_procs(), topology.procs_per_node())
 }
 
 /// The paper's sequential baseline: one processor, uninstrumented.
 pub fn sequential(app: &dyn Benchmark) -> AppOutcome {
-    sequential_with(app, None, false).0
+    execute(app, &sequential_spec())
 }
 
-/// [`sequential`] with an optional fault plan installed and, when `audit`
-/// is set, the recorded protocol event stream (used by the soak harness to
-/// prove a zero-fault plan leaves the deterministic baselines untouched).
-pub fn sequential_with(
-    app: &dyn Benchmark,
-    plan: Option<Arc<FaultPlan>>,
-    audit: bool,
-) -> (AppOutcome, Vec<TraceEvent>) {
-    run_with(
-        app,
-        ProtocolKind::TwoLevel,
-        1,
-        1,
-        RunOpts {
-            uninstrumented: true,
-            ..Default::default()
-        },
-        plan,
-        audit,
-    )
+/// The spec [`sequential`] runs under.
+#[must_use]
+pub fn sequential_spec() -> RunSpec {
+    paper_spec(ProtocolKind::TwoLevel, 1, 1).uninstrumented(true)
 }
 
 /// Best-of-`n` run (the paper's "execution times were calculated based on
 /// the best of three runs") — returns the outcome with the smallest
 /// simulated execution time. Useful for the nondeterministic applications
 /// (TSP's pruning, Water/Barnes's dynamic scheduling).
-pub fn run_best(
-    app: &dyn Benchmark,
-    protocol: ProtocolKind,
-    total: usize,
-    per_node: usize,
-    opts: RunOpts,
-    n: usize,
-) -> AppOutcome {
+pub fn execute_best(app: &dyn Benchmark, spec: &RunSpec, n: usize) -> AppOutcome {
     (0..n.max(1))
-        .map(|_| run(app, protocol, total, per_node, opts))
+        .map(|_| execute(app, spec))
         .min_by_key(|o| o.report.exec_ns)
         .expect("n >= 1")
 }
@@ -217,9 +126,7 @@ impl Record {
     pub fn new(
         experiment: &'static str,
         app: &str,
-        protocol: ProtocolKind,
-        total: usize,
-        per_node: usize,
+        spec: &RunSpec,
         out: &AppOutcome,
         sequential_ns: Nanos,
     ) -> Self {
@@ -248,8 +155,8 @@ impl Record {
         Self {
             experiment,
             app: app.to_string(),
-            protocol: protocol.label().to_string(),
-            config: format!("{total}:{per_node}"),
+            protocol: spec.protocol.label().to_string(),
+            config: config_label(&spec.topology),
             exec_secs: out.report.exec_secs(),
             speedup: if sequential_ns > 0 {
                 out.report.speedup(sequential_ns)
@@ -261,66 +168,93 @@ impl Record {
         }
     }
 
-    /// Serializes the record as one JSON object (no external deps — the
-    /// container has no registry access, so the encoder is hand-rolled).
+    /// Serializes the record as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push('{');
-        json_str(&mut s, "experiment", self.experiment);
-        s.push(',');
-        json_str(&mut s, "app", &self.app);
-        s.push(',');
-        json_str(&mut s, "protocol", &self.protocol);
-        s.push(',');
-        json_str(&mut s, "config", &self.config);
-        s.push(',');
-        json_f64(&mut s, "exec_secs", self.exec_secs);
-        s.push(',');
-        json_f64(&mut s, "speedup", self.speedup);
-        s.push(',');
-        json_key(&mut s, "counters");
-        s.push('{');
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            json_key(&mut s, k);
-            s.push_str(&v.to_string());
-        }
-        s.push_str("},");
-        json_key(&mut s, "breakdown");
-        s.push('{');
-        for (i, (k, v)) in self.breakdown.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            json_key(&mut s, k);
-            s.push_str(&fmt_json_f64(*v));
-        }
-        s.push_str("}}");
-        s
+        let breakdown = self.breakdown.iter().map(|(k, v)| (k, fmt_json_f64(*v)));
+        Obj::new()
+            .str("experiment", self.experiment)
+            .str("app", &self.app)
+            .str("protocol", &self.protocol)
+            .str("config", &self.config)
+            .f64("exec_secs", self.exec_secs)
+            .f64("speedup", self.speedup)
+            .val("counters", json_map(&self.counters))
+            .val("breakdown", json_map(breakdown))
+            .finish()
     }
 }
 
-/// Appends `"key":` with the key JSON-escaped.
-pub fn json_key(out: &mut String, key: &str) {
-    out.push('"');
-    json_escape_into(out, key);
-    out.push_str("\":");
+/// One JSON object under construction — the crate's only JSON writer (the
+/// container has no registry access, so there is no serde). Fields appear
+/// in call order; strings are escaped by
+/// [`cashmere_obs::json::push_str_escaped`], the writer half of the parser
+/// every reader in this crate uses.
+#[derive(Debug, Clone)]
+pub struct Obj(String);
+
+impl Default for Obj {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
-/// Appends `"key":"value"` with both sides JSON-escaped.
-pub fn json_str(out: &mut String, key: &str, value: &str) {
-    json_key(out, key);
-    out.push('"');
-    json_escape_into(out, value);
-    out.push('"');
+impl Obj {
+    /// An object with no fields yet.
+    #[must_use]
+    pub fn new() -> Self {
+        Self(String::from("{"))
+    }
+
+    /// Appends `"key":value`, `value` rendered by `Display`: integers,
+    /// booleans, and already-rendered objects and arrays.
+    pub fn val(&mut self, key: &str, value: impl Display) -> &mut Self {
+        if self.0.len() > 1 {
+            self.0.push(',');
+        }
+        push_str_escaped(&mut self.0, key);
+        let _ = write!(self.0, ":{value}");
+        self
+    }
+
+    /// Appends `"key":"value"` with the value escaped.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        let mut quoted = String::with_capacity(value.len() + 2);
+        push_str_escaped(&mut quoted, value);
+        self.val(key, quoted)
+    }
+
+    /// Appends `"key":<number>` (JSON has no NaN/Infinity; both map to 0).
+    pub fn f64(&mut self, key: &str, value: f64) -> &mut Self {
+        self.val(key, fmt_json_f64(value))
+    }
+
+    /// The finished object.
+    #[must_use]
+    pub fn finish(&self) -> String {
+        format!("{}}}", self.0)
+    }
 }
 
-/// Appends `"key":<number>`.
-pub fn json_f64(out: &mut String, key: &str, value: f64) {
-    json_key(out, key);
-    out.push_str(&fmt_json_f64(value));
+/// Renders `(key, value)` pairs as a JSON object, values by `Display`.
+pub fn json_map<K: AsRef<str>>(fields: impl IntoIterator<Item = (K, impl Display)>) -> String {
+    let mut o = Obj::new();
+    for (k, v) in fields {
+        o.val(k.as_ref(), v);
+    }
+    o.finish()
+}
+
+/// Renders already-rendered items as a JSON array.
+pub fn json_arr(items: impl IntoIterator<Item = impl Display>) -> String {
+    let mut s = String::from("[");
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        let _ = write!(s, "{item}");
+    }
+    s.push(']');
+    s
 }
 
 /// Formats an f64 as a JSON number (JSON has no NaN/Infinity; map to 0).
@@ -333,21 +267,18 @@ pub fn fmt_json_f64(v: f64) -> String {
     }
 }
 
-/// Escapes a string per RFC 8259 minimal rules.
-fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+/// The numeric `field` of the first line of a JSONL file whose string
+/// fields match every `(key, value)` in `keys`.
+#[must_use]
+pub fn jsonl_field(jsonl: &str, keys: &[(&str, &str)], field: &str) -> Option<f64> {
+    jsonl
+        .lines()
+        .filter_map(|l| cashmere_obs::json::parse(l).ok())
+        .find(|v| {
+            keys.iter()
+                .all(|(k, want)| v.get(k).and_then(|f| f.as_str()) == Some(want))
+        })
+        .and_then(|v| v.get(field)?.as_f64())
 }
 
 /// Appends records as JSON lines to `results/<experiment>.jsonl`.
@@ -406,31 +337,32 @@ mod tests {
         let app = Sor::new(Scale::Test);
         let seq = sequential(&app);
         assert!(seq.report.exec_ns > 0);
-        let par = run(&app, ProtocolKind::TwoLevel, 4, 2, RunOpts::default());
+        let spec = paper_spec(ProtocolKind::TwoLevel, 4, 2);
+        let par = execute(&app, &spec);
         assert_eq!(par.checksum, seq.checksum);
-        let rec = Record::new(
-            "test",
-            "SOR",
-            ProtocolKind::TwoLevel,
-            4,
-            2,
-            &par,
-            seq.report.exec_ns,
-        );
+        let rec = Record::new("test", "SOR", &spec, &par, seq.report.exec_ns);
         assert_eq!(rec.config, "4:2");
         assert!(rec.speedup > 0.0);
         assert!(rec.counters.contains_key("page_transfers"));
         let json = rec.to_json();
         assert!(json.starts_with("{\"experiment\":\"test\""));
         assert!(json.contains("\"counters\":{"));
-        assert!(json.ends_with('}'));
+        let v = cashmere_obs::json::parse(&json).expect("record is valid JSON");
+        assert_eq!(v.get("config").and_then(|c| c.as_str()), Some("4:2"));
+        assert_eq!(
+            jsonl_field(&json, &[("app", "SOR"), ("config", "4:2")], "speedup"),
+            Some(rec.speedup)
+        );
+        assert_eq!(jsonl_field(&json, &[("app", "LU")], "speedup"), None);
     }
 
     #[test]
     fn json_escaping_and_nonfinite_floats() {
-        let mut s = String::new();
-        json_str(&mut s, "k", "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"k\":\"a\\\"b\\\\c\\nd\\u0001\"");
+        let doc = Obj::new()
+            .str("k", "a\"b\\c\nd\u{1}")
+            .val("n", json_arr([1, 2]))
+            .finish();
+        assert_eq!(doc, "{\"k\":\"a\\\"b\\\\c\\nd\\u0001\",\"n\":[1,2]}");
         assert_eq!(fmt_json_f64(f64::NAN), "0.0");
         assert_eq!(fmt_json_f64(1.5), "1.5");
         assert_eq!(fmt_json_f64(2.0), "2.0");

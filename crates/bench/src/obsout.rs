@@ -3,7 +3,7 @@
 //! the table), and the Chrome `trace_event` export
 //! (`results/trace_<app>_<proto>.json`).
 //!
-//! All three consume sweep [`Cell`]s whose runs had [`crate::RunOpts::obs`]
+//! All three consume finished sweep cells ([`Done`]) whose specs had `obs`
 //! set; cells without an [`ObsReport`] are skipped. The JSONL rows carry
 //! raw virtual nanoseconds (the gate asserts their sum equals the run's
 //! total virtual time); the text table renders the same rows as
@@ -15,47 +15,36 @@ use std::path::{Path, PathBuf};
 
 use cashmere_obs::{chrome, Fig7Cat, ObsReport};
 
-use crate::sweep::Cell;
-use crate::{json_key, json_str};
+use crate::gate::Done;
+use crate::Obj;
 
 /// Serializes one cell's Figure-7 row (`None` when the cell ran without
 /// observability).
 #[must_use]
-pub fn fig7_json(cell: &Cell, config: &str) -> Option<String> {
+pub fn fig7_json(cell: &Done, config: &str) -> Option<String> {
     let obs = cell.outcome.report.obs.as_ref()?;
-    let mut s = String::with_capacity(256);
-    s.push('{');
-    json_str(&mut s, "experiment", "fig7");
-    s.push(',');
-    json_str(&mut s, "app", &cell.app);
-    s.push(',');
-    json_str(&mut s, "protocol", cell.protocol.label());
-    s.push(',');
-    json_str(&mut s, "config", config);
-    if !cell.plan.is_empty() {
-        s.push(',');
-        json_str(&mut s, "plan", cell.plan);
+    let mut o = Obj::new();
+    o.str("experiment", "fig7")
+        .str("app", cell.app())
+        .str("protocol", cell.protocol())
+        .str("config", config);
+    if !cell.cell.tag.is_empty() {
+        o.str("plan", cell.cell.tag);
     }
-    let _ = write!(s, ",\"procs\":{}", obs.procs);
+    o.val("procs", obs.procs);
     for c in Fig7Cat::ALL {
-        s.push(',');
-        json_key(&mut s, c.label());
-        let _ = write!(s, "{}", obs.fig7.get(c));
+        o.val(c.label(), obs.fig7.get(c));
     }
-    let _ = write!(
-        s,
-        ",\"total_ns\":{},\"breakdown_total_ns\":{}}}",
-        obs.fig7.total(),
-        cell.outcome.report.breakdown.total()
-    );
-    Some(s)
+    o.val("total_ns", obs.fig7.total())
+        .val("breakdown_total_ns", cell.outcome.report.breakdown.total());
+    Some(o.finish())
 }
 
 /// Renders the Figure-7 text table: one row per cell with the five
 /// categories as percentages of total virtual time, followed by the
 /// hot-page report (the per-cell fault-heat leaders).
 #[must_use]
-pub fn fig7_table(cells: &[Cell], config: &str) -> String {
+pub fn fig7_table(cells: &[Done], config: &str) -> String {
     let mut s = format!("Figure 7 — execution-time breakdown at {config} (% of total VT)\n\n");
     let _ = writeln!(
         s,
@@ -70,8 +59,8 @@ pub fn fig7_table(cells: &[Cell], config: &str) -> String {
         let _ = write!(
             s,
             "{:10} {:5} {:>10.3}",
-            cell.app,
-            cell.protocol.label(),
+            cell.app(),
+            cell.protocol(),
             obs.fig7.total() as f64 / 1e6
         );
         for c in Fig7Cat::ALL {
@@ -84,7 +73,7 @@ pub fn fig7_table(cells: &[Cell], config: &str) -> String {
         let Some(obs) = cell.outcome.report.obs.as_ref() else {
             continue;
         };
-        let _ = write!(s, "{:10} {:5}", cell.app, cell.protocol.label());
+        let _ = write!(s, "{:10} {:5}", cell.app(), cell.protocol());
         for (page, heat) in obs.hot_pages(4) {
             let _ = write!(s, "  {page}:{heat}");
         }
@@ -93,10 +82,9 @@ pub fn fig7_table(cells: &[Cell], config: &str) -> String {
     s
 }
 
-/// Writes `results/fig7.jsonl` and `results/fig7.txt` from the sweep's
-/// observability-enabled cells; returns the two paths and the row count.
-pub fn write_fig7(cells: &[Cell], config: &str) -> io::Result<(PathBuf, PathBuf, usize)> {
-    let dir = Path::new("results");
+/// Writes `fig7.jsonl` and `fig7.txt` into `dir` from the sweep's
+/// observability-enabled cells; returns the row count.
+pub fn write_fig7(dir: &Path, cells: &[Done], config: &str) -> io::Result<usize> {
     std::fs::create_dir_all(dir)?;
     let mut jsonl = String::new();
     let mut rows = 0usize;
@@ -107,18 +95,17 @@ pub fn write_fig7(cells: &[Cell], config: &str) -> io::Result<(PathBuf, PathBuf,
             rows += 1;
         }
     }
-    let jsonl_path = dir.join("fig7.jsonl");
-    std::fs::write(&jsonl_path, jsonl)?;
-    let txt_path = dir.join("fig7.txt");
-    std::fs::write(&txt_path, fig7_table(cells, config))?;
-    Ok((jsonl_path, txt_path, rows))
+    std::fs::write(dir.join("fig7.jsonl"), jsonl)?;
+    std::fs::write(dir.join("fig7.txt"), fig7_table(cells, config))?;
+    eprintln!("[wrote {}/fig7.{{jsonl,txt}} ({rows} rows)]", dir.display());
+    Ok(rows)
 }
 
 /// Exports one cell's spans as a Chrome trace to
-/// `results/trace_<app>_<proto>.json`, lints the document, and returns the
+/// `<dir>/trace_<app>_<proto>.json`, lints the document, and returns the
 /// path and duration-event count. Errors if the cell has no observability
 /// data or the export fails its own schema lint.
-pub fn export_trace(cell: &Cell) -> Result<(PathBuf, usize), String> {
+pub fn export_trace(dir: &Path, cell: &Done) -> Result<(PathBuf, usize), String> {
     let obs = cell
         .outcome
         .report
@@ -127,12 +114,11 @@ pub fn export_trace(cell: &Cell) -> Result<(PathBuf, usize), String> {
         .ok_or("cell ran without observability")?;
     let doc = chrome_doc(obs);
     let events = chrome::lint(&doc).map_err(|e| format!("trace failed its lint: {e}"))?;
-    let dir = Path::new("results");
     std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
     let path = dir.join(format!(
         "trace_{}_{}.json",
-        sanitize(&cell.app),
-        sanitize(cell.protocol.label())
+        sanitize(cell.app()),
+        sanitize(cell.protocol())
     ));
     std::fs::write(&path, doc).map_err(|e| e.to_string())?;
     Ok((path, events))
@@ -168,50 +154,35 @@ fn sanitize(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cashmere_apps::{suite, Scale};
+    use cashmere_apps::{Scale, Sor};
     use cashmere_core::ProtocolKind;
 
-    use crate::sweep::{run_sweep, SweepSpec};
-    use crate::RunOpts;
-
-    fn obs_cells() -> Vec<Cell> {
-        let apps = suite(Scale::Test);
-        let apps = &apps[..1];
-        let protocols = [ProtocolKind::TwoLevel];
-        let mut spec = SweepSpec::new(apps, &protocols);
-        spec.opts = RunOpts {
-            obs: true,
-            ..RunOpts::default()
-        };
-        run_sweep(&spec, |_| {})
-    }
+    use crate::gate::{collect_cells, Cell};
+    use crate::{jsonl_field, paper_spec};
 
     #[test]
-    fn fig7_json_carries_the_identity_and_table_renders() {
-        let cells = obs_cells();
-        let line = fig7_json(&cells[0], "4:2").expect("obs on");
-        assert!(line.contains("\"experiment\":\"fig7\""));
-        let total = crate::golden::field_f64(&line, "total_ns").expect("total_ns");
-        let breakdown = crate::golden::field_f64(&line, "breakdown_total_ns").expect("breakdown");
+    fn exporters_carry_the_identity_lint_clean_and_skip_obs_off_cells() {
+        let app = Sor::new(Scale::Test);
+        let spec = paper_spec(ProtocolKind::TwoLevel, 4, 2);
+        let cells = [
+            Cell::new(&app, spec.clone().with_obs(true)),
+            Cell::new(&app, spec),
+        ];
+        let done = collect_cells(&cells, 1);
+        let line = fig7_json(&done[0], "4:2").expect("obs on");
+        let total = jsonl_field(&line, &[("experiment", "fig7")], "total_ns");
+        let breakdown = jsonl_field(&line, &[("app", "SOR")], "breakdown_total_ns");
+        assert!(total.is_some(), "{line}");
         assert_eq!(total, breakdown, "Figure-7 identity in the exported row");
-        let table = fig7_table(&cells, "4:2");
+        let table = fig7_table(&done, "4:2");
         assert!(table.contains("task"), "{table}");
         assert!(table.contains("Hot pages"), "{table}");
-    }
 
-    #[test]
-    fn chrome_doc_passes_the_lint_and_obs_off_cells_are_skipped() {
-        let cells = obs_cells();
-        let obs = cells[0].outcome.report.obs.as_ref().unwrap();
-        let doc = chrome_doc(obs);
-        assert!(chrome::lint(&doc).expect("lints clean") > 0);
+        let obs = done[0].outcome.report.obs.as_ref().unwrap();
+        assert!(chrome::lint(&chrome_doc(obs)).expect("lints clean") > 0);
 
-        let apps = suite(Scale::Test);
-        let apps = &apps[..1];
-        let protocols = [ProtocolKind::TwoLevel];
-        let plain = run_sweep(&SweepSpec::new(apps, &protocols), |_| {});
-        assert!(fig7_json(&plain[0], "4:2").is_none());
-        assert!(export_trace(&plain[0]).is_err());
+        assert!(fig7_json(&done[1], "4:2").is_none());
+        assert!(export_trace(Path::new("unused"), &done[1]).is_err());
     }
 
     #[test]

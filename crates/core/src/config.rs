@@ -284,10 +284,9 @@ pub struct ClusterConfig {
     /// Deterministic parallel execution inside the run (DESIGN.md §15):
     /// `Some(w)` runs the simulated processors under the conservative
     /// virtual-time scheduler with at most `w` concurrently running host
-    /// threads. `None` (the default) keeps the free-running path; the
-    /// `CASHMERE_PROC_WORKERS` environment variable can then opt a run in
-    /// at [`crate::Cluster::run`] time. The [`crate::Report`] of a
-    /// deterministic run is byte-identical at any worker count.
+    /// threads. `None` (the default) keeps the free-running path. The
+    /// [`crate::Report`] of a deterministic run is byte-identical at any
+    /// worker count.
     pub det_workers: Option<usize>,
     /// Lookahead window quantum for the deterministic scheduler, in
     /// virtual nanoseconds.
@@ -368,12 +367,6 @@ impl ClusterConfig {
     /// Memory Channel and the engine's recovery paths.
     pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Builder-style recovery-policy override.
-    pub fn with_recovery_policy(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = policy;
         self
     }
 

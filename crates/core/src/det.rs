@@ -19,7 +19,7 @@
 //! released processors run their (purely local) segments, not what those
 //! segments compute. Hence the same config + seed produces byte-identical
 //! [`Report`](crate::Report)s at any worker count — gated by
-//! `scripts/detpar.sh`.
+//! `scripts/gate.sh detpar`.
 //!
 //! The scheduler hands turns over directly: one mutex guards the
 //! parked-state bookkeeping, and every processor sleeps on its own

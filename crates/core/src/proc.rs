@@ -146,8 +146,7 @@ impl Cluster {
     /// returns the run's [`Report`]. Each processor gets an implicit final
     /// release so all its modifications reach the home copies.
     ///
-    /// With [`ClusterConfig::with_det_parallel`] (or the
-    /// `CASHMERE_PROC_WORKERS` environment opt-in), the processors advance
+    /// With [`ClusterConfig::with_det_parallel`], the processors advance
     /// under the deterministic parallel scheduler (DESIGN.md §15): at most
     /// that many host workers run concurrently, and the returned `Report`
     /// is byte-identical at every worker count.
@@ -155,7 +154,7 @@ impl Cluster {
     where
         F: Fn(&mut Proc) + Sync,
     {
-        match self.config().det_workers.or_else(det_workers_from_env) {
+        match self.config().det_workers {
             Some(workers) => self.run_det(&f, workers),
             None => self.run_seq(&f),
         }
@@ -247,16 +246,6 @@ impl Cluster {
         }
         report
     }
-}
-
-/// `CASHMERE_PROC_WORKERS` opt-in: a positive integer enables the
-/// deterministic parallel engine at that worker count for clusters whose
-/// config did not choose explicitly.
-fn det_workers_from_env() -> Option<usize> {
-    std::env::var("CASHMERE_PROC_WORKERS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&w| w >= 1)
 }
 
 /// A simulated processor's handle: shared-memory accesses, synchronization,

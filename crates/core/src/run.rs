@@ -14,7 +14,7 @@ use std::sync::Arc;
 use cashmere_faults::FaultPlan;
 use cashmere_sim::{Backend, Messaging, Topology};
 
-use crate::config::{ClusterConfig, DirectoryMode, ProtocolKind, RecoveryPolicy, SyncSpec};
+use crate::config::{ClusterConfig, DirectoryMode, ProtocolKind, SyncSpec};
 use crate::proc::{Cluster, Proc};
 use crate::report::Report;
 use crate::trace::TraceEvent;
@@ -54,11 +54,9 @@ pub struct RunSpec {
     pub obs: bool,
     /// Deterministic fault-injection plan.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Timeout/backoff policy for lost-request recovery.
-    pub recovery: RecoveryPolicy,
     /// Deterministic parallel execution (DESIGN.md §15): run the simulated
     /// processors on this many host workers. `None` keeps the sequential
-    /// engine (unless `CASHMERE_PROC_WORKERS` opts in at run time).
+    /// engine.
     pub det_workers: Option<usize>,
 }
 
@@ -80,7 +78,6 @@ impl RunSpec {
             audit: false,
             obs: false,
             fault_plan: None,
-            recovery: RecoveryPolicy::default(),
             det_workers: None,
         }
     }
@@ -158,13 +155,6 @@ impl RunSpec {
         self
     }
 
-    /// Builder-style recovery policy.
-    #[must_use]
-    pub fn with_recovery_policy(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = policy;
-        self
-    }
-
     /// Builder-style deterministic parallelism: run the simulated
     /// processors on `workers` host threads (clamped to at least 1). The
     /// [`Report`] is byte-identical at any worker count — see
@@ -178,7 +168,7 @@ impl RunSpec {
     /// Materializes the [`ClusterConfig`], letting `tweak` (typically an
     /// application's `configure`) adjust the base config *before* the
     /// spec's overriding toggles (directory, messaging, instrumentation,
-    /// audit/obs/faults/recovery) are applied on top.
+    /// audit/obs/faults) are applied on top.
     #[must_use]
     pub fn to_config_with(&self, tweak: impl FnOnce(&mut ClusterConfig)) -> ClusterConfig {
         let mut cfg = ClusterConfig::new(self.topology, self.protocol).with_sync(self.sync);
@@ -200,7 +190,6 @@ impl RunSpec {
         cfg.audit = self.audit;
         cfg.obs = self.obs;
         cfg.fault_plan = self.fault_plan.clone();
-        cfg.recovery = self.recovery;
         if let Some(workers) = self.det_workers {
             cfg = cfg.with_det_parallel(workers);
         }

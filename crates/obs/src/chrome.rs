@@ -8,7 +8,7 @@
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 //!
 //! The lint re-parses an exported document and checks the subset of the
-//! schema those viewers rely on; the `CHECK_OBS` gate runs it on a real
+//! schema those viewers rely on; the `obsgate` gate runs it on a real
 //! export so a formatting regression fails CI instead of silently producing
 //! a file the viewer rejects.
 

@@ -1,114 +1,20 @@
 #!/usr/bin/env bash
-# Repo-wide hygiene + correctness gate. Everything runs offline.
+# Repo-wide hygiene + correctness check. Everything runs offline.
 #
 #   fmt    — no diffs allowed
 #   clippy — workspace lints (Cargo.toml [workspace.lints]) as hard errors,
 #            across every target (libs, bins, tests, benches, examples)
-#   test   — the full workspace suite; note `--workspace`: a bare
+#   lint   — the concurrency lint (scripts/lint.sh: relaxed-ok tags,
+#            std-primitive bans, recovery no-panic scan)
+#   test   — the full workspace suite, including the model_* interleaving
+#            explorations (DESIGN.md §11); note `--workspace`: a bare
 #            `cargo test` at the root only tests the facade package
-#   bench  — opt-in (CHECK_BENCH=1): wall-clock harness + virtual-time
-#            drift gate against the committed results/ baselines, plus a
-#            wall-clock *regression* gate: the fresh geomean speedup vs
-#            results/wallclock_baseline.jsonl may not drop more than
-#            WALLCLOCK_TOLERANCE (default 0.25, i.e. 25%) below the geomean
-#            committed in BENCH_wallclock.json — wall time is noisy, so the
-#            tolerance absorbs host jitter while still catching real
-#            hot-path regressions
-#   soak   — opt-in (CHECK_SOAK=1): fixed-seed fault-injection campaign
-#            (zero-fault golden identity + fault matrix with clean audits)
-#   obs    — opt-in (CHECK_OBS=1): observability gate (obs-on/off golden
-#            identity, Figure-7 breakdown sums vs total VT, span-nesting
-#            audit, Chrome-trace schema lint)
-#   model  — opt-in (CHECK_MODEL=1): the concurrency lint (scripts/lint.sh:
-#            relaxed-ok tags, std-primitive bans, recovery no-panic scan)
-#            plus the bounded interleaving explorer over every model_* test
-#            (DESIGN.md §11). MODEL_BUDGET overrides the per-scenario
-#            schedule budget (default 256); each exploration echoes its
-#            schedule/truncation counts
-#   service — opt-in (CHECK_SERVICE=1): the service-workload gate
-#            (scripts/service.sh): paper-golden byte-identity preflight,
-#            trace/VT determinism, KvService + BankOltp audited across all
-#            four protocols with the fault-heat skew gate, and a nonzero
-#            fault soak; writes the seed-stamped BENCH_service.json
-#   scaling — opt-in (CHECK_SCALING=1): the CI-sized scaling ladder
-#            (scripts/scaling.sh --ci): golden byte-identity preflight,
-#            audited sparse-vs-replicated directory cells at 8x4 and 16x8,
-#            and the deterministic per-update fan-out gates. CASHMERE_JOBS
-#            bounds cell-level parallelism; the full 64x16 ladder is
-#            scripts/scaling.sh with no arguments
-#   detpar — opt-in (CHECK_DETPAR=1): the deterministic-parallelism gate
-#            (scripts/detpar.sh): sequential-golden byte-identity through
-#            the refactored engine, SOR x four protocols at host worker
-#            counts {1,2,8} with byte-identical reports required, the
-#            CASHMERE_PROC_WORKERS env opt-in vs builder-path identity,
-#            and the recorded multi-worker wallclock ratio; writes
-#            BENCH_detpar.json
-#   xbackend — opt-in (CHECK_XBACKEND=1): the cross-backend transport gate
-#            (scripts/xbackend.sh): Memory-Channel golden byte-identity
-#            through the Transport trait, deterministic replay fingerprints
-#            per backend (mc/rdma/cxl), and the audited apps x protocols x
-#            backends sweep with the request/reply round-trip reduction
-#            gates; writes BENCH_xbackend.json
+#
+# The gates are a separate command: scripts/gate.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
+scripts/lint.sh
 cargo test --workspace --offline -q
-
-geomean_of() {
-    # Pulls "geomean_speedup":N out of a bench JSON; empty if absent.
-    sed -n 's/.*"geomean_speedup":\([0-9.eE+-]*\).*/\1/p' "$1" 2>/dev/null || true
-}
-
-if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
-    # Snapshot the committed geomean before bench.sh overwrites the file.
-    committed_geomean="$(geomean_of BENCH_wallclock.json)"
-    scripts/bench.sh
-    fresh_geomean="$(geomean_of BENCH_wallclock.json)"
-    if [[ -n "$committed_geomean" && -n "$fresh_geomean" ]]; then
-        tol="${WALLCLOCK_TOLERANCE:-0.25}"
-        awk -v fresh="$fresh_geomean" -v committed="$committed_geomean" -v tol="$tol" '
-            BEGIN {
-                floor = committed * (1 - tol)
-                printf "wallclock regression gate: fresh=%.3f committed=%.3f floor=%.3f\n",
-                       fresh, committed, floor
-                exit !(fresh >= floor)
-            }' || {
-            echo "FAIL: wall-clock geomean regressed past the tolerance" >&2
-            exit 1
-        }
-    fi
-fi
-
-if [[ "${CHECK_SOAK:-0}" == "1" ]]; then
-    scripts/soak.sh
-fi
-
-if [[ "${CHECK_OBS:-0}" == "1" ]]; then
-    cargo build --release -p cashmere-bench --offline
-    target/release/obsgate
-fi
-
-if [[ "${CHECK_MODEL:-0}" == "1" ]]; then
-    scripts/lint.sh
-    echo "model: exploring interleavings (MODEL_BUDGET=${MODEL_BUDGET:-256} schedules per scenario)"
-    MODEL_BUDGET="${MODEL_BUDGET:-256}" \
-        cargo test --workspace --offline -q model_ -- --nocapture
-fi
-
-if [[ "${CHECK_SERVICE:-0}" == "1" ]]; then
-    scripts/service.sh
-fi
-
-if [[ "${CHECK_SCALING:-0}" == "1" ]]; then
-    scripts/scaling.sh --ci
-fi
-
-if [[ "${CHECK_DETPAR:-0}" == "1" ]]; then
-    scripts/detpar.sh
-fi
-
-if [[ "${CHECK_XBACKEND:-0}" == "1" ]]; then
-    scripts/xbackend.sh
-fi
