@@ -93,10 +93,7 @@ fn replay_fingerprints(ctx: &mut Ctx) {
                 ));
             }
             let total: u64 = clocks.iter().sum();
-            let rr = counters
-                .iter()
-                .find(|(k, _)| *k == "remote_requests")
-                .map_or(0, |&(_, v)| v);
+            let rr = counters.remote_requests;
             requests[pi][bi] = rr;
             println!(
                 "xbackend replay {:4} {:4} total_ns={total:12} remote_requests={rr:5} \

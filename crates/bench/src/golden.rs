@@ -25,6 +25,7 @@ use std::sync::Arc;
 
 use cashmere_apps::Benchmark;
 use cashmere_core::engine::ProcCtx;
+use cashmere_core::report::Counters;
 use cashmere_core::{
     Backend, ClusterConfig, Engine, FaultPlan, ProcId, ProtocolKind, SyncSpec, Topology,
     TraceEvent, PAGE_WORDS,
@@ -85,7 +86,7 @@ pub fn build_goldens(
             .str("protocol", p.label())
             .val("total_ns", clocks.iter().sum::<u64>())
             .val("clock_ns", json_arr(&clocks))
-            .val("counters", json_map(counters))
+            .val("counters", json_map(counters.pairs()))
             .finish();
         jsonl.push_str(&line);
         jsonl.push('\n');
@@ -136,14 +137,13 @@ pub fn check_table2(path: &Path, seq_secs: &[(&'static str, f64)]) -> usize {
 /// `xbackend` harness uses them to prove direct-read backends issue fewer
 /// request/reply round trips than the Memory Channel. `MemoryChannel`
 /// leaves the config untouched (same bytes as the committed goldens).
-#[allow(clippy::type_complexity)]
 pub fn replay_on(
     backend: Backend,
     protocol: ProtocolKind,
     plan: Option<Arc<FaultPlan>>,
     audit: bool,
     obs: bool,
-) -> (Vec<u64>, Vec<(&'static str, u64)>, Vec<TraceEvent>) {
+) -> (Vec<u64>, Counters, Vec<TraceEvent>) {
     let mut cfg = ClusterConfig::new(Topology::new(2, 2), protocol)
         .with_heap_pages(16)
         .with_sync(SyncSpec {
@@ -238,7 +238,10 @@ pub fn replay_on(
 
     let clocks = ctxs.iter().map(|c| c.clock.now()).collect();
     let trace = e.recorder().map(|r| r.take()).unwrap_or_default();
-    (clocks, e.stats.snapshot(), trace)
+    for ctx in &ctxs {
+        e.absorb(ctx);
+    }
+    (clocks, e.counters(), trace)
 }
 
 /// Per-page word-write pattern (all within `[0, 448)`), chosen to produce

@@ -67,6 +67,9 @@ fn faulty_trace() -> (Vec<TraceEvent>, u64) {
     e.release_actions(&mut h);
     e.release_actions(&mut p0);
 
+    for ctx in [&p0, &h, &f] {
+        e.absorb(ctx);
+    }
     let recovered = e.recovery_summary().total();
     let trace = e.recorder().expect("audited engine has a recorder").take();
     (trace, recovered.total())

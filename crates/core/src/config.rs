@@ -261,8 +261,7 @@ pub struct ClusterConfig {
     pub poll_fraction: f64,
     /// Memory-bus bytes charged per shared access, modeling cache-capacity
     /// traffic through the node's shared bus (what makes SOR and Gauss
-    /// cluster badly). Applications may override per-phase via
-    /// [`crate::Proc::set_bus_bytes_per_access`].
+    /// cluster badly).
     pub bus_bytes_per_access: u64,
     /// Record a [`crate::trace::ProtocolEvent`] stream for the
     /// `cashmere-check` invariant auditor. Off by default; when off the

@@ -88,26 +88,38 @@ impl From<Perm> for PermBits {
     }
 }
 
+impl PermBits {
+    /// The two-bit code every directory layout stores — the replicated
+    /// word's low bits, a sparse mask's per-node pair — and the `DirWrite`
+    /// audit event carries.
+    pub fn bits(self) -> u64 {
+        match self {
+            PermBits::None => 0,
+            PermBits::Read => 1,
+            PermBits::Write => 2,
+        }
+    }
+
+    /// Decodes the low two bits of `v` (inverse of [`Self::bits`]).
+    pub fn from_bits(v: u64) -> Self {
+        match v & 0b11 {
+            0 => PermBits::None,
+            1 => PermBits::Read,
+            _ => PermBits::Write,
+        }
+    }
+}
+
 impl DirWord {
     /// Packs into the on-wire word.
     pub fn pack(self) -> u64 {
-        let perm = match self.perm {
-            PermBits::None => 0u64,
-            PermBits::Read => 1,
-            PermBits::Write => 2,
-        };
-        perm | ((self.exclusive as u64) << 4) | ((self.excl_proc as u64) << 8)
+        self.perm.bits() | ((self.exclusive as u64) << 4) | ((self.excl_proc as u64) << 8)
     }
 
     /// Unpacks from the on-wire word.
     pub fn unpack(v: u64) -> Self {
-        let perm = match v & 0b11 {
-            0 => PermBits::None,
-            1 => PermBits::Read,
-            _ => PermBits::Write,
-        };
         Self {
-            perm,
+            perm: PermBits::from_bits(v),
             exclusive: (v >> 4) & 1 == 1,
             excl_proc: ((v >> 8) & 0xFFFF) as u16,
         }
@@ -183,26 +195,10 @@ fn excl_unpack(v: u64) -> Option<(usize, u16)> {
     (v & 1 == 1).then_some((((v >> 8) & 0xFFFF) as usize, ((v >> 32) & 0xFFFF) as u16))
 }
 
-fn perm_code(p: PermBits) -> u64 {
-    match p {
-        PermBits::None => 0,
-        PermBits::Read => 1,
-        PermBits::Write => 2,
-    }
-}
-
-fn perm_decode(v: u64) -> PermBits {
-    match v & 0b11 {
-        0 => PermBits::None,
-        1 => PermBits::Read,
-        _ => PermBits::Write,
-    }
-}
-
 /// Charge-free directory traffic accounting, in modeled wire bytes. These
 /// counters feed the scaling experiment (`BENCH_scaling.json`) and are NOT
-/// part of [`cashmere_sim::Stats`] — the golden-pinned counter snapshot is
-/// untouched.
+/// part of [`crate::report::Counters`] — the golden-pinned counter snapshot
+/// is untouched.
 #[derive(Default)]
 struct DirTraffic {
     /// Directory-entry modifications (any mode).
@@ -493,7 +489,7 @@ impl Directory {
         let sh = &sp.shards[self.shard_of(page)];
         let moff = self.shard_field(page, F_MASK0 + me / 32);
         let shift = (me % 32) * 2;
-        let bits = perm_code(w.perm) << shift;
+        let bits = w.perm.bits() << shift;
         loop {
             let old = sh.load_sc(moff);
             let new = (old & !(0b11 << shift)) | bits;
@@ -573,7 +569,7 @@ impl Directory {
         }
         let src = self.sparse_sync(page, reader);
         let mask = self.sparse_field(page, reader, src, F_MASK0 + pnode / 32);
-        let perm = perm_decode(mask >> ((pnode % 32) * 2));
+        let perm = PermBits::from_bits(mask >> ((pnode % 32) * 2));
         match excl_unpack(self.sparse_field(page, reader, src, F_EXCL)) {
             Some((n, p)) if n == pnode => DirWord {
                 perm,
@@ -601,7 +597,7 @@ impl Directory {
         emit(&self.rec, || ProtocolEvent::DirWrite {
             pnode: me,
             page,
-            perm: perm_code(w.perm) as u8,
+            perm: w.perm.bits() as u8,
             exclusive: w.exclusive,
         });
         if self.sparse.is_some() {
@@ -644,7 +640,7 @@ impl Directory {
         emit(&self.rec, || ProtocolEvent::DirWrite {
             pnode: me,
             page,
-            perm: perm_code(w.perm) as u8,
+            perm: w.perm.bits() as u8,
             exclusive: w.exclusive,
         });
         let sp = self.sparse.as_ref().expect("sparse-mode mutant");
@@ -671,11 +667,7 @@ impl Directory {
         emit(&self.rec, || ProtocolEvent::DirWrite {
             pnode: me,
             page,
-            perm: match w.perm {
-                PermBits::None => 0,
-                PermBits::Read => 1,
-                PermBits::Write => 2,
-            },
+            perm: w.perm.bits() as u8,
             exclusive: w.exclusive,
         });
         let idx = self.word_idx(page, me);
@@ -822,7 +814,7 @@ impl Directory {
 
     /// Charge-free snapshot of directory traffic and memory, for the
     /// scaling experiment (`BENCH_scaling.json`). Not part of
-    /// [`cashmere_sim::Stats`]; the golden-pinned counters are untouched.
+    /// [`crate::report::Counters`]; the golden-pinned counters are untouched.
     pub fn usage(&self) -> DirUsage {
         let (mc_bytes, cache_bytes) = match &self.sparse {
             None => {

@@ -40,8 +40,7 @@ use cashmere_faults::FaultPlan;
 use cashmere_memchan::{TransportConfig, TREE_FANOUT};
 use cashmere_obs::{LinkMetrics, ProcObs, SpanKind};
 use cashmere_sim::{
-    FetchShape, Messaging, Nanos, NodeMap, ProcClock, ProcId, Resource, Stats, TimeCategory,
-    Topology,
+    FetchShape, Messaging, Nanos, NodeMap, ProcClock, ProcId, Resource, TimeCategory, Topology,
 };
 use cashmere_transport::{build_transport, Transport};
 use cashmere_vmpage::{
@@ -53,7 +52,8 @@ use crate::config::{ClusterConfig, DirectoryMode};
 use crate::det::{DetHandle, WaitKey};
 use crate::directory::{DirWord, Directory, HomeInfo, PermBits};
 use crate::mc_lock::McLock;
-use crate::recovery::{RecoveryStats, RecoverySummary};
+use crate::recovery::{retry_until_delivered, RecoveryCounts, RecoverySummary, Request};
+use crate::report::{Counters, Tally};
 use crate::trace::{emit, ProtocolEvent, ReleaseAction, TraceRecorder};
 use crate::write_notice::{NleList, NoticeBoard, ProcNoticeList};
 use crate::Addr;
@@ -71,22 +71,23 @@ pub struct ProcCtx {
     pub phys: usize,
     /// Virtual clock.
     pub clock: ProcClock,
+    /// This processor's event and recovery counters — like the clock,
+    /// single-writer plain data; every counted fact is bumped here, once.
+    pub tally: Tally,
     /// Cached page-frame pointers (stable per (pnode, page) once created).
     pub frames: Vec<Option<Arc<Frame>>>,
     /// The private dirty list: pages written since the last release (§2.3).
     pub dirty: Vec<u32>,
     /// Node-logical time of this processor's most recent acquire.
     pub acquire_ts: u64,
-    /// Polling-overhead fraction applied to user time.
-    pub poll_fraction: f64,
     /// Memory-bus bytes charged per shared access.
     pub bus_bytes: u64,
     /// This processor's page table — the same object as its
     /// `LocalProc::pt`, cached here so the access fast path skips the
     /// pnodes→procs pointer chase on every read and write.
     pt: Arc<PageTable>,
-    /// Per-shared-access polling charge, precomputed from `poll_fraction`
-    /// (zero when interrupt messaging is selected or the fraction is zero),
+    /// Per-shared-access polling charge, precomputed from the configured
+    /// `poll_fraction` (zero under interrupt messaging or a zero fraction),
     /// so the fast path avoids an f64 multiply + cast per access.
     poll_access_ns: Nanos,
     /// Pages this context has ever held in exclusive mode (sticky; see
@@ -116,19 +117,23 @@ impl ProcCtx {
         excl_held: Vec<bool>,
         cfg: &ClusterConfig,
     ) -> Self {
-        let mut ctx = Self {
+        Self {
             id,
             pnode,
             local,
             phys,
             clock: ProcClock::new(),
+            tally: Tally::default(),
             frames: vec![None; cfg.heap_pages],
             dirty: Vec::new(),
             acquire_ts: 0,
-            poll_fraction: cfg.poll_fraction,
             bus_bytes: cfg.bus_bytes_per_access,
             pt,
-            poll_access_ns: 0,
+            poll_access_ns: if cfg.cost.messaging == Messaging::Polling && cfg.poll_fraction > 0.0 {
+                (cfg.cost.shared_access as f64 * cfg.poll_fraction) as Nanos
+            } else {
+                0
+            },
             excl_held,
             pending_bus: 0,
             pending_double: 0,
@@ -136,9 +141,7 @@ impl ProcCtx {
                 .obs
                 .then(|| Box::new(ProcObs::new(pnode as u32, id.0 as u32, cfg.heap_pages))),
             det: None,
-        };
-        ctx.set_poll_fraction(cfg.poll_fraction, cfg);
-        ctx
+        }
     }
 
     /// Opens an observability span (no-op when observability is off).
@@ -208,17 +211,6 @@ impl ProcCtx {
         if let Some(d) = &self.det {
             d.unblock_all(key);
         }
-    }
-
-    /// Sets the polling-overhead fraction and rederives the per-access
-    /// polling charge from it.
-    pub(crate) fn set_poll_fraction(&mut self, f: f64, cfg: &ClusterConfig) {
-        self.poll_fraction = f;
-        self.poll_access_ns = if cfg.cost.messaging == Messaging::Polling && f > 0.0 {
-            (cfg.cost.shared_access as f64 * f) as Nanos
-        } else {
-            0
-        };
     }
 }
 
@@ -356,72 +348,20 @@ pub struct Engine {
     /// user-level request interposition points (page fetch, exclusive
     /// break) and recovers from the losses it injects.
     faults: Option<Arc<FaultPlan>>,
-    /// Per-protocol-node recovery counters (timeouts, retries, duplicate
-    /// replies suppressed).
-    recovery: Vec<RecoveryStats>,
     /// Per-link traffic counters, shared with the Memory Channel (`Some`
     /// only when [`ClusterConfig::obs`]).
     link_metrics: Option<Arc<LinkMetrics>>,
-    /// Cluster-wide statistics.
-    pub stats: Stats,
+    /// Tallies of the processors that have finished, folded in at join
+    /// ([`Engine::absorb`]) so a cluster's second run still reports
+    /// cluster totals.
+    totals: Mutex<Totals>,
 }
 
-/// Whether `CASHMERE_TRACE` protocol tracing is enabled (diagnostics only).
-fn trace_on() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("CASHMERE_TRACE").is_some())
-}
-
-/// Capacity of the diagnostic trace ring. Once full, the oldest entry is
-/// overwritten, so arbitrarily long traced runs hold at most this many
-/// lines (the old implementation grew an unbounded `Vec` and periodically
-/// discarded *everything*, losing the recent tail a diagnosis needs).
-const TRACE_RING_CAP: usize = 65_536;
-
-/// Fixed-capacity diagnostic ring (populated when `CASHMERE_TRACE` is set).
-struct TraceRing {
-    buf: Vec<String>,
-    /// Oldest entry / next overwrite slot once `buf` reached capacity.
-    next: usize,
-}
-
-/// In-memory trace ring (diagnostics only).
-static TRACE_RING: Mutex<TraceRing> = Mutex::new(TraceRing {
-    buf: Vec::new(),
-    next: 0,
-});
-
-/// Appends one diagnostic line, overwriting the oldest once the ring is at
-/// [`TRACE_RING_CAP`]. Public so the ring's bounding behavior is testable
-/// without enabling `CASHMERE_TRACE`; the [`trace!`] macro is the real
-/// producer.
-pub fn push_trace(line: String) {
-    let mut ring = TRACE_RING.lock();
-    if ring.buf.len() < TRACE_RING_CAP {
-        ring.buf.push(line);
-    } else {
-        let i = ring.next;
-        ring.buf[i] = line;
-        ring.next = (i + 1) % TRACE_RING_CAP;
-    }
-}
-
-/// Dumps and clears the diagnostic trace ring, oldest entry first.
-pub fn dump_trace() -> Vec<String> {
-    let mut ring = TRACE_RING.lock();
-    let n = ring.next;
-    ring.next = 0;
-    let mut v = std::mem::take(&mut ring.buf);
-    v.rotate_left(n);
-    v
-}
-
-macro_rules! trace {
-    ($($arg:tt)*) => {
-        if trace_on() {
-            $crate::engine::push_trace(format!($($arg)*));
-        }
-    };
+/// What finished processors' tallies sum to: cluster-wide counters, and
+/// recovery counters per requesting protocol node.
+struct Totals {
+    counters: Counters,
+    recovery: Vec<RecoveryCounts>,
 }
 
 impl Engine {
@@ -537,10 +477,12 @@ impl Engine {
             any_exclusive: AtomicBool::new(false),
             rec,
             faults: cfg.fault_plan.clone(),
-            recovery: (0..n_pnodes).map(|_| RecoveryStats::new()).collect(),
             link_metrics,
             cfg,
-            stats: Stats::new(),
+            totals: Mutex::new(Totals {
+                counters: Counters::default(),
+                recovery: vec![RecoveryCounts::default(); n_pnodes],
+            }),
         })
     }
 
@@ -560,16 +502,28 @@ impl Engine {
         &self.cfg
     }
 
-    /// Live per-protocol-node recovery counters.
-    pub fn recovery_stats(&self) -> &[RecoveryStats] {
-        &self.recovery
+    /// Folds a finished processor's tally into the cluster totals: its
+    /// counters cluster-wide, its recovery counters under its own (the
+    /// requesting) protocol node. [`crate::Cluster::run`] calls this once
+    /// per processor at join; code that drives contexts by hand reads
+    /// `ctx.tally` directly, or absorbs it to use the two readers below.
+    pub fn absorb(&self, ctx: &ProcCtx) {
+        let mut t = self.totals.lock();
+        t.counters.merge(&ctx.tally.counters);
+        t.recovery[ctx.pnode].merge(&ctx.tally.recovery);
     }
 
-    /// Snapshot of the cluster's recovery state: per-node counters plus the
-    /// fault plan's injection counters (for [`crate::Report`]).
+    /// Table 3 counters summed over every absorbed processor.
+    pub fn counters(&self) -> Counters {
+        self.totals.lock().counters
+    }
+
+    /// The cluster's recovery state: per-node counters of every absorbed
+    /// processor plus the fault plan's injection counters (for
+    /// [`crate::Report`]).
     pub fn recovery_summary(&self) -> RecoverySummary {
         RecoverySummary {
-            per_node: self.recovery.iter().map(RecoveryStats::counts).collect(),
+            per_node: self.totals.lock().recovery.clone(),
             faults_injected: self
                 .faults
                 .as_ref()
@@ -639,7 +593,7 @@ impl Engine {
         ctx.det_checkpoint();
         let page = addr / PAGE_WORDS;
         if self.pt(ctx).read_faults(page) {
-            self.stats.read_faults.inc();
+            ctx.tally.counters.read_faults += 1;
             self.fault_common(ctx, page, addr % PAGE_WORDS, /* write: */ false);
         } else if ctx.frames[page].is_none() {
             self.refresh_frame_cache(ctx, page);
@@ -702,7 +656,7 @@ impl Engine {
             } else if !self.pt(ctx).write_faults(page) {
                 break;
             }
-            self.stats.write_faults.inc();
+            ctx.tally.counters.write_faults += 1;
             self.fault_common(ctx, page, addr % PAGE_WORDS, /* write: */ true);
         }
         let off = addr % PAGE_WORDS;
@@ -732,7 +686,7 @@ impl Engine {
                     self.cfg.cost.write_double_per_store,
                 );
                 ctx.pending_double += 8;
-                self.stats.data_bytes.add(8);
+                ctx.tally.counters.data_bytes += 8;
                 if ctx.pending_double >= 512 {
                     self.settle_double(ctx);
                 }
@@ -744,7 +698,7 @@ impl Engine {
         let c = &self.cfg.cost;
         ctx.clock.charge(TimeCategory::User, c.shared_access);
         if ctx.poll_access_ns > 0 {
-            // Precomputed in `ProcCtx::set_poll_fraction` — identical to
+            // Precomputed in `ProcCtx::new` — identical to
             // `(shared_access as f64 * poll_fraction) as Nanos` but without
             // the per-access float multiply.
             ctx.clock.charge(TimeCategory::Polling, ctx.poll_access_ns);
@@ -841,7 +795,7 @@ impl Engine {
             let off = (addr + done) % PAGE_WORDS;
             let n = (total - done).min(PAGE_WORDS - off);
             if self.pt(ctx).read_faults(page) {
-                self.stats.read_faults.inc();
+                ctx.tally.counters.read_faults += 1;
                 self.fault_common(ctx, page, off, /* write: */ false);
             } else if ctx.frames[page].is_none() {
                 self.refresh_frame_cache(ctx, page);
@@ -891,7 +845,7 @@ impl Engine {
                 } else if !self.pt(ctx).write_faults(page) {
                     break;
                 }
-                self.stats.write_faults.inc();
+                ctx.tally.counters.write_faults += 1;
                 self.fault_common(ctx, page, off, /* write: */ true);
             }
             let frame = ctx.frames[page].as_ref().expect("fault left no frame");
@@ -937,7 +891,7 @@ impl Engine {
     fn charge_doubled_stores(&self, ctx: &mut ProcCtx, mut n: u64) {
         let c = &self.cfg.cost;
         let wd = c.write_double_per_store;
-        self.stats.data_bytes.add(8 * n);
+        ctx.tally.counters.data_bytes += 8 * n;
         while n > 0 {
             let k_bus = if ctx.bus_bytes == 0 {
                 u64::MAX
@@ -979,10 +933,10 @@ impl Engine {
     pub fn compute(&self, ctx: &mut ProcCtx, ns: Nanos) {
         ctx.det_checkpoint();
         ctx.clock.charge(TimeCategory::User, ns);
-        if self.cfg.cost.messaging == Messaging::Polling && ctx.poll_fraction > 0.0 {
+        if self.cfg.cost.messaging == Messaging::Polling && self.cfg.poll_fraction > 0.0 {
             ctx.clock.charge(
                 TimeCategory::Polling,
-                (ns as f64 * ctx.poll_fraction) as Nanos,
+                (ns as f64 * self.cfg.poll_fraction) as Nanos,
             );
         }
     }
@@ -1029,12 +983,9 @@ impl Engine {
                     },
                     ctx.clock.now(),
                 );
-                self.stats.directory_updates.inc();
-                if let Some(o) = &mut ctx.obs {
-                    o.metrics.directory_updates += 1;
-                }
+                ctx.tally.counters.directory_updates += 1;
             }
-            self.stats.home_relocations.inc();
+            ctx.tally.counters.home_relocations += 1;
             ctx.pnode
         } else {
             home.pnode
@@ -1078,13 +1029,13 @@ impl Engine {
 
     /// Handles a read fault on `page` by `ctx` (§2.4.1).
     pub fn read_fault(&self, ctx: &mut ProcCtx, page: usize) {
-        self.stats.read_faults.inc();
+        ctx.tally.counters.read_faults += 1;
         self.fault_common(ctx, page, 0, /* write: */ false);
     }
 
     /// Handles a write fault on `page` by `ctx` (§2.4.1).
     pub fn write_fault(&self, ctx: &mut ProcCtx, page: usize) {
-        self.stats.write_faults.inc();
+        ctx.tally.counters.write_faults += 1;
         self.fault_common(ctx, page, 0, /* write: */ true);
     }
 
@@ -1101,11 +1052,6 @@ impl Engine {
     fn fault_common_inner(&self, ctx: &mut ProcCtx, page: usize, word: usize, write: bool) {
         ctx.obs_begin(SpanKind::Fault, page as i64);
         if let Some(o) = &mut ctx.obs {
-            if write {
-                o.metrics.write_faults += 1;
-            } else {
-                o.metrics.read_faults += 1;
-            }
             o.heat(page);
         }
         // Borrow, don't clone: every call below takes `&self`, so the fault
@@ -1185,17 +1131,6 @@ impl Engine {
             // notice is current (pending notices a mapping processor missed
             // are handled by the self-notice queued below).
             let stale = np.ts_update < np.ts_wn.min(ctx.acquire_ts);
-            trace!(
-                "FAULT p{} pg{} w={} upd={} wn={} acq={} fetch={} now={}us",
-                ctx.id.0,
-                page,
-                write,
-                np.ts_update,
-                np.ts_wn,
-                ctx.acquire_ts,
-                !np.is_home && (never_fetched || stale) && np.excl_local.is_none(),
-                ctx.clock.now() / 1000
-            );
             let mut fetched = false;
             if !np.is_home && (never_fetched || stale) && np.excl_local.is_none() {
                 self.fetch_page(ctx, page, home, &mut np, node_now);
@@ -1222,10 +1157,7 @@ impl Engine {
                             pnode: ctx.pnode,
                             page,
                         });
-                        self.stats.twin_creations.inc();
-                        if let Some(o) = &mut ctx.obs {
-                            o.metrics.twin_creations += 1;
-                        }
+                        ctx.tally.counters.twin_creations += 1;
                         ctx.clock.charge(TimeCategory::Protocol, c.twin_create);
                     }
                 }
@@ -1325,7 +1257,7 @@ impl Engine {
         // page must always raise the in-write flag (see `write_word`).
         ctx.excl_held[page] = true;
         self.any_exclusive.store(true, Ordering::Release);
-        self.stats.exclusive_transitions.inc();
+        ctx.tally.counters.exclusive_transitions += 1;
         true
     }
 
@@ -1342,8 +1274,8 @@ impl Engine {
     ) {
         let c = &self.cfg.cost;
         ctx.obs_begin(SpanKind::Fetch, page as i64);
-        self.stats.page_transfers.inc();
-        self.stats.data_bytes.add(PAGE_BYTES as u64);
+        ctx.tally.counters.page_transfers += 1;
+        ctx.tally.counters.data_bytes += PAGE_BYTES as u64;
 
         // Sequence-number the request (fault recovery): a lost request can
         // simply be re-sent, and the reply is idempotent — the sequence
@@ -1362,74 +1294,46 @@ impl Engine {
         // counts as a remote request in the Table-3 sense.
         let direct = home_phys != ctx.phys && self.mc.fetch_shape() == FetchShape::DirectRead;
         if !direct {
-            self.stats.remote_requests.inc();
+            ctx.tally.counters.remote_requests += 1;
         }
         if home_phys == ctx.phys {
             // Same physical node (one-level protocols without the home
             // optimization): a memory-to-memory copy, no Memory Channel.
             ctx.clock.charge(TimeCategory::CommWait, c.fetch_local);
-        } else if direct {
-            // Fault recovery for a lost read: burn the descriptor post/poll
-            // cost plus a backed-off timeout, then reissue.
-            if let Some(plan) = &self.faults {
-                let mut attempt = 1u32;
-                while plan.fetch_lost(ctx.pnode, home_phys, ctx.clock.now(), attempt) {
-                    self.recovery[ctx.pnode].fetch_timeouts.inc();
-                    emit(&self.rec, || ProtocolEvent::FetchTimeout {
-                        pnode: ctx.pnode,
-                        page,
-                        seq,
-                        attempt,
-                    });
-                    ctx.clock.charge(
-                        TimeCategory::CommWait,
-                        c.fetch_direct_fixed + self.cfg.recovery.timeout(attempt),
-                    );
-                    self.recovery[ctx.pnode].fetch_retries.inc();
-                    attempt += 1;
-                }
-            }
-            ctx.clock
-                .charge(TimeCategory::CommWait, c.fetch_direct_fixed);
-            let done = self.mc.fetch_data(home, PAGE_BYTES as u64, ctx.clock.now());
-            ctx.clock.wait_until(done);
         } else {
-            // Remote fetch: request delivery at the home (polling or
-            // interrupt), fixed protocol cost, and the 8 KB reply
-            // serialized through the home's link.
-            let fixed = if self.cfg.protocol.is_two_level() {
-                c.fetch_remote_fixed_2l
+            // What one transmission costs the requester, and the fixed
+            // protocol cost on top. Direct read: the descriptor post/poll,
+            // nothing else. Request/reply: request delivery at the home
+            // (polling or interrupt) plus the home-side handler.
+            let (delivery, fixed) = if direct {
+                (c.fetch_direct_fixed, 0)
+            } else if self.cfg.protocol.is_two_level() {
+                (c.request_delivery(), c.fetch_remote_fixed_2l)
             } else {
-                c.fetch_remote_fixed_1l
+                (c.request_delivery(), c.fetch_remote_fixed_1l)
             };
-            // Fault recovery: each lost transmission burns its delivery
-            // cost plus a backed-off virtual-time timeout, then the request
-            // is re-sent. The plan's `max_attempts` bounds the loop (the
-            // fabric escalates to a reliable path beyond it), so every
-            // timed-out fetch eventually succeeds.
             if let Some(plan) = &self.faults {
-                let mut attempt = 1u32;
-                while plan.fetch_lost(ctx.pnode, home_phys, ctx.clock.now(), attempt) {
-                    self.recovery[ctx.pnode].fetch_timeouts.inc();
-                    emit(&self.rec, || ProtocolEvent::FetchTimeout {
-                        pnode: ctx.pnode,
+                let me = ctx.pnode;
+                retry_until_delivered(
+                    ctx,
+                    &self.cfg.recovery,
+                    &self.rec,
+                    Request::Fetch,
+                    delivery,
+                    |now, attempt| plan.fetch_lost(me, home_phys, now, attempt),
+                    |attempt| ProtocolEvent::FetchTimeout {
+                        pnode: me,
                         page,
                         seq,
                         attempt,
-                    });
-                    ctx.clock.charge(
-                        TimeCategory::CommWait,
-                        c.request_delivery() + self.cfg.recovery.timeout(attempt),
-                    );
-                    self.recovery[ctx.pnode].fetch_retries.inc();
-                    attempt += 1;
-                }
+                    },
+                );
             }
-            ctx.clock
-                .charge(TimeCategory::CommWait, c.request_delivery() + fixed);
-            // The reply is the home's one-sided write of the page
-            // (`fetch_data` on the Memory Channel backend prices exactly
-            // like `charge_link`).
+            ctx.clock.charge(TimeCategory::CommWait, delivery + fixed);
+            // The page itself: the home's one-sided reply write serialized
+            // through its link (`fetch_data` on the Memory Channel backend
+            // prices exactly like `charge_link`), or the requester's
+            // one-sided read.
             let done = self.mc.fetch_data(home, PAGE_BYTES as u64, ctx.clock.now());
             ctx.clock.wait_until(done);
         }
@@ -1467,7 +1371,6 @@ impl Engine {
         if let Some(o) = &mut ctx.obs {
             let dur = o.end(SpanKind::Fetch, &ctx.clock);
             o.metrics.fetch_rtt.record(dur);
-            o.metrics.fetches += 1;
             // A one-sided read never interrupts the home processor.
             if home_phys != ctx.phys && !direct && self.cfg.cost.messaging == Messaging::Interrupt {
                 o.metrics.interrupts += 1;
@@ -1492,7 +1395,7 @@ impl Engine {
     ) -> bool {
         let c = &self.cfg.cost;
         if seq <= np.applied_reply_seq {
-            self.recovery[ctx.pnode].duplicates_dropped.inc();
+            ctx.tally.recovery.duplicates_dropped += 1;
             emit(&self.rec, || ProtocolEvent::FetchReply {
                 pnode: ctx.pnode,
                 page,
@@ -1530,10 +1433,7 @@ impl Engine {
                     });
                 }
                 let applied = apply_incoming_diff(&frame, twin, incoming);
-                self.stats.incoming_diffs.inc();
-                if let Some(o) = &mut ctx.obs {
-                    o.metrics.diffs_applied += 1;
-                }
+                ctx.tally.counters.incoming_diffs += 1;
                 ctx.clock
                     .charge(TimeCategory::Protocol, c.diff_in(applied, PAGE_WORDS));
             }
@@ -1576,7 +1476,7 @@ impl Engine {
             }
         }
         if shot > 0 {
-            self.stats.shootdowns.add(shot);
+            ctx.tally.counters.shootdowns += shot;
             ctx.clock.charge(TimeCategory::Protocol, per_proc * shot);
         }
         // Flush the outstanding local modifications so they aren't lost
@@ -1624,7 +1524,7 @@ impl Engine {
             c.diff_out_remote(diff.words(), PAGE_WORDS)
         };
         ctx.clock.charge(TimeCategory::Protocol, cost);
-        self.stats.data_bytes.add(diff.words() as u64 * 12);
+        ctx.tally.counters.data_bytes += diff.words() as u64 * 12;
         if let Some(o) = &mut ctx.obs {
             o.metrics.diffs_sent += 1;
         }
@@ -1648,35 +1548,31 @@ impl Engine {
     ) {
         // Borrow, don't clone (see `fault_common`).
         let c = &self.cfg.cost;
-        self.stats.remote_requests.inc();
+        ctx.tally.counters.remote_requests += 1;
 
         // Fault recovery: a lost break interrupt times out in virtual time
-        // (backed off per attempt) and is re-sent; `max_attempts` bounds
-        // the loop, so the break is eventually delivered or found moot.
-        let mut timed_out = false;
-        if let Some(plan) = &self.faults {
+        // and is re-sent until it is delivered or found moot.
+        let timed_out = self.faults.as_ref().is_some_and(|plan| {
+            let me = ctx.pnode;
             let holder_phys = self
                 .map
                 .physical_of(&self.topo, cashmere_sim::NodeId(holder))
                 .0;
-            let mut attempt = 1u32;
-            while plan.break_lost(ctx.pnode, holder_phys, ctx.clock.now(), attempt) {
-                self.recovery[ctx.pnode].break_timeouts.inc();
-                emit(&self.rec, || ProtocolEvent::BreakTimeout {
+            retry_until_delivered(
+                ctx,
+                &self.cfg.recovery,
+                &self.rec,
+                Request::Break,
+                c.request_delivery(),
+                |now, attempt| plan.break_lost(me, holder_phys, now, attempt),
+                |attempt| ProtocolEvent::BreakTimeout {
                     pnode: holder,
                     page,
-                    by: ctx.pnode,
+                    by: me,
                     attempt,
-                });
-                ctx.clock.charge(
-                    TimeCategory::CommWait,
-                    c.request_delivery() + self.cfg.recovery.timeout(attempt),
-                );
-                self.recovery[ctx.pnode].break_retries.inc();
-                timed_out = true;
-                attempt += 1;
-            }
-        }
+                },
+            )
+        });
         ctx.clock
             .charge(TimeCategory::CommWait, c.request_delivery());
 
@@ -1730,7 +1626,7 @@ impl Engine {
 
         if !self.cfg.protocol.write_through() {
             self.master(page).fill_from(&buf);
-            self.stats.data_bytes.add(PAGE_BYTES as u64);
+            ctx.tally.counters.data_bytes += PAGE_BYTES as u64;
             let holder_phys = self
                 .map
                 .physical_of(&self.topo, cashmere_sim::NodeId(holder))
@@ -1758,10 +1654,7 @@ impl Engine {
                 pnode: holder,
                 page,
             });
-            self.stats.twin_creations.inc();
-            if let Some(o) = &mut ctx.obs {
-                o.metrics.twin_creations += 1;
-            }
+            ctx.tally.counters.twin_creations += 1;
             ctx.clock.charge(TimeCategory::Protocol, c.twin_create);
             for (i, lp) in hnode.procs.iter().enumerate() {
                 if other_writers >> i & 1 == 1 {
@@ -1781,16 +1674,13 @@ impl Engine {
         // The page leaves exclusive mode.
         np.writers &= !(1u64 << excl_local);
         np.excl_local = None;
-        self.stats.exclusive_transitions.inc();
+        ctx.tally.counters.exclusive_transitions += 1;
         // Update the holder's directory word on its behalf, while its
         // node-page lock is still held (the holder's own directory writes
         // all happen under this lock, so this cannot interleave with them).
         let word = np.dir_word(holder_proc);
         let done = self.dir.write_my_word(page, holder, word, ctx.clock.now());
-        self.stats.directory_updates.inc();
-        if let Some(o) = &mut ctx.obs {
-            o.metrics.directory_updates += 1;
-        }
+        ctx.tally.counters.directory_updates += 1;
         ctx.clock
             .charge(TimeCategory::Protocol, self.dir.update_cost());
         ctx.clock.wait_until(done);
@@ -1820,10 +1710,7 @@ impl Engine {
         for &s in &sharers {
             let done = self.notices.post(s, ctx.pnode, page32, ctx.clock.now());
             ctx.clock.wait_until(done);
-            self.stats.write_notices.inc();
-            if let Some(o) = &mut ctx.obs {
-                o.metrics.write_notices += 1;
-            }
+            ctx.tally.counters.write_notices += 1;
         }
         if sharers.is_empty() {
             return;
@@ -1924,7 +1811,7 @@ impl Engine {
                         let diff = diff_against_twin(&frame, twin);
                         if !diff.is_empty() {
                             flush_update_twin(twin, &diff);
-                            self.stats.flush_updates.inc();
+                            ctx.tally.counters.flush_updates += 1;
                             self.flush_diff_to_master(ctx, page, home, &diff);
                             action = ReleaseAction::Flushed;
                         }
@@ -1945,13 +1832,6 @@ impl Engine {
                     // excluding the home node (its master was just updated
                     // directly).
                     let sharers = self.dir.sharers(page, ctx.pnode, ctx.pnode);
-                    trace!(
-                        "RELEASE p{} pg{} sharers={:?} home={}",
-                        ctx.id.0,
-                        page,
-                        sharers,
-                        home
-                    );
                     self.post_write_notices(ctx, page32, home, sharers);
                 }
             }
@@ -1993,7 +1873,7 @@ impl Engine {
                     let diff = diff_against_twin(&frame, &twin);
                     if !diff.is_empty() {
                         self.flush_diff_to_master(ctx, page, home, &diff);
-                        self.stats.flush_updates.inc();
+                        ctx.tally.counters.flush_updates += 1;
                         np.ts_flush = self.node_now(ctx.pnode);
                         action = ReleaseAction::Flushed;
                         let sharers = self.dir.sharers(page, ctx.pnode, ctx.pnode);
@@ -2080,13 +1960,6 @@ impl Engine {
                 let mut np = self.pnodes[ctx.pnode].pages[page].lock();
                 np.ts_wn = wn_now;
                 let mapped = np.readers | np.writers;
-                trace!(
-                    "DISTRIB p{} pg{} ts_wn={} mapped={:b}",
-                    ctx.id.0,
-                    page,
-                    wn_now,
-                    mapped
-                );
                 // Producer: emitted under the node-page lock, before the
                 // per-processor inserts below.
                 emit(&self.rec, || ProtocolEvent::WnDistribute {
@@ -2112,14 +1985,6 @@ impl Engine {
             if np.is_home {
                 continue;
             }
-            trace!(
-                "WNPROC p{} pg{} upd={} wn={} inval={}",
-                ctx.id.0,
-                page,
-                np.ts_update,
-                np.ts_wn,
-                np.ts_update < np.ts_wn
-            );
             if np.ts_update < np.ts_wn {
                 // Invalidate our mapping with an mprotect; the twin (if any)
                 // survives so unflushed local modifications keep their
@@ -2165,10 +2030,7 @@ impl Engine {
         let _ = self
             .dir
             .write_my_word(page, ctx.pnode, word, ctx.clock.now());
-        self.stats.directory_updates.inc();
-        if let Some(o) = &mut ctx.obs {
-            o.metrics.directory_updates += 1;
-        }
+        ctx.tally.counters.directory_updates += 1;
         ctx.clock
             .charge(TimeCategory::Protocol, self.dir.update_cost());
     }
@@ -2245,36 +2107,5 @@ impl Engine {
     /// Protocol-node count.
     pub fn protocol_nodes(&self) -> usize {
         self.pnodes.len()
-    }
-}
-
-#[cfg(test)]
-mod trace_ring_tests {
-    use super::{dump_trace, push_trace, TRACE_RING_CAP};
-
-    /// One test owns the (process-global) ring: fill far past capacity and
-    /// check both the bound and that the *newest* entries survive in order.
-    #[test]
-    fn trace_ring_is_bounded_and_keeps_the_newest_entries() {
-        dump_trace();
-        let total = TRACE_RING_CAP + 1000;
-        for i in 0..total {
-            push_trace(format!("line {i}"));
-        }
-        let dumped = dump_trace();
-        assert_eq!(dumped.len(), TRACE_RING_CAP, "ring never exceeds capacity");
-        for (k, line) in dumped.iter().enumerate() {
-            assert_eq!(
-                line,
-                &format!("line {}", total - TRACE_RING_CAP + k),
-                "oldest-first order with the oldest overflow entries evicted"
-            );
-        }
-        assert!(dump_trace().is_empty(), "dump clears the ring");
-
-        // A partially filled ring dumps exactly what was pushed.
-        push_trace("a".into());
-        push_trace("b".into());
-        assert_eq!(dump_trace(), vec!["a".to_string(), "b".to_string()]);
     }
 }

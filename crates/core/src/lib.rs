@@ -46,16 +46,16 @@ pub mod write_notice;
 pub use config::{ClusterConfig, DirectoryMode, ProtocolKind, RecoveryPolicy, SyncSpec};
 pub use engine::Engine;
 pub use proc::{Cluster, Proc};
-pub use recovery::{RecoveryCounts, RecoveryStats, RecoverySummary};
+pub use recovery::{RecoveryCounts, RecoverySummary};
 pub use report::Report;
-pub use run::{run, RunOutput, RunSpec};
+pub use run::RunSpec;
 pub use trace::{ProtocolEvent, ReleaseAction, TraceEvent, TraceRecorder};
 
 pub use cashmere_faults::{FaultKind, FaultPlan, FaultRule, FaultScope};
 pub use cashmere_obs::ObsReport;
 
 pub use cashmere_sim::{
-    Backend, CostModel, FetchShape, Messaging, Nanos, NodeId, ProcId, Stats, TimeCategory, Topology,
+    Backend, CostModel, FetchShape, Messaging, Nanos, NodeId, ProcId, TimeCategory, Topology,
 };
 pub use cashmere_transport::{build_transport, Transport};
 pub use cashmere_vmpage::{PAGE_BYTES, PAGE_WORDS};

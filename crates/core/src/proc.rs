@@ -24,8 +24,8 @@
 
 use std::sync::Arc;
 
-use cashmere_obs::{ObsReport, ProcObs, SpanKind};
-use cashmere_sim::{Nanos, ProcClock, ProcId, TimeCategory};
+use cashmere_obs::{ObsReport, SpanKind};
+use cashmere_sim::{Nanos, ProcId, TimeCategory};
 use cashmere_vmpage::PAGE_WORDS;
 use parking_lot::Mutex;
 
@@ -165,7 +165,7 @@ impl Cluster {
         F: Fn(&mut Proc) + Sync,
     {
         let n = self.config().topology.total_procs();
-        let results: Vec<(ProcClock, Option<Box<ProcObs>>)> = std::thread::scope(|s| {
+        let results: Vec<ProcCtx> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..n)
                 .map(|p| {
                     let engine = Arc::clone(&self.engine);
@@ -195,7 +195,7 @@ impl Cluster {
     {
         let n = self.config().topology.total_procs();
         let sched = Arc::new(DetScheduler::new(n, workers, self.config().det_quantum_ns));
-        let results: Vec<(ProcClock, Option<Box<ProcObs>>)> = std::thread::scope(|s| {
+        let results: Vec<ProcCtx> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..n)
                 .map(|p| {
                     let engine = Arc::clone(&self.engine);
@@ -230,13 +230,22 @@ impl Cluster {
         *self.det_stats.lock()
     }
 
-    fn collect_report(&self, results: &[(ProcClock, Option<Box<ProcObs>>)]) -> Report {
-        let clocks: Vec<ProcClock> = results.iter().map(|(c, _)| c.clone()).collect();
-        let mut report = Report::build(self.engine.config(), &self.engine.stats, &clocks)
-            .with_recovery(self.engine.recovery_summary());
+    /// Sums the finished processors' numbers: each tally is folded into
+    /// the engine-held totals (so a second run reports cluster totals),
+    /// which become `counters` and, per requesting node, `recovery`.
+    fn collect_report(&self, results: &[ProcCtx]) -> Report {
+        for ctx in results {
+            self.engine.absorb(ctx);
+        }
+        let mut report = Report::build(
+            self.engine.config(),
+            self.engine.counters(),
+            results.iter().map(|ctx| &ctx.clock),
+        )
+        .with_recovery(self.engine.recovery_summary());
         if self.config().obs {
             let mut obs = ObsReport::new();
-            for po in results.iter().filter_map(|(_, po)| po.as_deref()) {
+            for po in results.iter().filter_map(|ctx| ctx.obs.as_deref()) {
                 obs.merge_proc(po);
             }
             if let Some(lm) = self.engine.link_metrics() {
@@ -361,7 +370,7 @@ impl Proc {
     /// consistency actions (§2.4.2).
     pub fn lock(&mut self, l: usize) {
         self.ctx.obs_begin(SpanKind::Lock, l as i64);
-        self.engine.stats.lock_acquires.inc();
+        self.ctx.tally.counters.lock_acquires += 1;
         let cost = self.lock_cost();
         let vt = if self.ctx.det.is_some() {
             // Deterministic grant (DESIGN.md §15): the acquire is a gate;
@@ -414,9 +423,7 @@ impl Proc {
     /// departure (§2.3, §2.4).
     pub fn barrier(&mut self, b: usize) {
         self.ctx.obs_begin(SpanKind::Barrier, b as i64);
-        let t0 = self.ctx.clock.now();
         self.engine.release_actions(&mut self.ctx);
-        let t1 = self.ctx.clock.now();
         // Producer: arrival is the release half of the crossing; emit before
         // the rendezvous so every departure is sequenced after it.
         self.trace(|| ProtocolEvent::BarrierArrive {
@@ -450,7 +457,7 @@ impl Proc {
             self.pools.barriers[b].wait(n, self.ctx.clock.now(), cost)
         };
         if crossing.was_last {
-            self.engine.stats.barriers.inc();
+            self.ctx.tally.counters.barriers += 1;
         }
         // Consumer: emitted after the rendezvous completes; `epoch` lets the
         // auditor pair every departure with its episode's arrivals.
@@ -461,23 +468,8 @@ impl Proc {
             epoch: crossing.epoch,
         });
         self.ctx.clock.wait_until(crossing.departure_vt);
-        let t2 = self.ctx.clock.now();
         self.engine.acquire_actions(&mut self.ctx);
         self.ctx.obs_end(SpanKind::Barrier);
-        fn barrier_debug() -> bool {
-            static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-            *ON.get_or_init(|| std::env::var_os("CASHMERE_BARRIER_DEBUG").is_some())
-        }
-        if barrier_debug() {
-            eprintln!(
-                "BAR p{} b{} release={}us wait={}us acq={}us",
-                self.id(),
-                b,
-                (t1 - t0) / 1000,
-                (t2 - t1) / 1000,
-                (self.ctx.clock.now() - t2) / 1000
-            );
-        }
     }
 
     /// Sets application flag `fl` (release semantics).
@@ -499,7 +491,7 @@ impl Proc {
     /// Waits for application flag `fl` (acquire semantics).
     pub fn flag_wait(&mut self, fl: usize) {
         self.ctx.obs_begin(SpanKind::Flag, fl as i64);
-        self.engine.stats.lock_acquires.inc();
+        self.ctx.tally.counters.lock_acquires += 1;
         let vt = if self.ctx.det.is_some() {
             self.ctx.gate_enter();
             loop {
@@ -539,7 +531,7 @@ impl Proc {
         self.pools.flags[fl].is_set()
     }
 
-    // --- Accounting knobs ---------------------------------------------
+    // --- Accounting -----------------------------------------------------
 
     /// Records one request's sojourn (arrival-to-completion) latency into
     /// the observability histograms (`Report::obs`, `sojourn_ns`). Used by
@@ -550,18 +542,6 @@ impl Proc {
         if let Some(o) = &mut self.ctx.obs {
             o.metrics.sojourn_ns.record(ns);
         }
-    }
-
-    /// Overrides the polling-overhead fraction for this processor (the
-    /// paper's per-application 0–36%).
-    pub fn set_poll_fraction(&mut self, f: f64) {
-        self.ctx.set_poll_fraction(f, self.engine.config());
-    }
-
-    /// Overrides the memory-bus bytes charged per shared access (models an
-    /// application phase's cache-capacity traffic).
-    pub fn set_bus_bytes_per_access(&mut self, b: u64) {
-        self.ctx.bus_bytes = b;
     }
 
     fn lock_cost(&self) -> Nanos {
@@ -582,10 +562,11 @@ impl Proc {
         }
     }
 
-    /// Final release + accounting settlement; returns the processor's
-    /// clock and (when observability is on) its finished observability
-    /// state. Called automatically at the end of [`Cluster::run`].
-    fn finish(mut self) -> (ProcClock, Option<Box<ProcObs>>) {
+    /// Final release + accounting settlement; hands back the processor's
+    /// context — its clock, its tally, its protocol node and (when
+    /// observability is on) its finished observability state. Called
+    /// automatically at the end of [`Cluster::run`].
+    fn finish(mut self) -> ProcCtx {
         self.engine.release_actions(&mut self.ctx);
         self.engine.settle(&mut self.ctx);
         if let Some(o) = &mut self.ctx.obs {
@@ -594,6 +575,6 @@ impl Proc {
         if let Some(d) = &self.ctx.det {
             d.finish();
         }
-        (self.ctx.clock.clone(), self.ctx.obs.take())
+        self.ctx
     }
 }

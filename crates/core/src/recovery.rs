@@ -1,4 +1,4 @@
-//! Recovery accounting for the fault-injection subsystem.
+//! Recovery from injected request loss, and its accounting.
 //!
 //! When a [`cashmere_faults::FaultPlan`] is installed, lost page-fetch
 //! requests and lost exclusive-break interrupts are recovered by the engine:
@@ -6,52 +6,73 @@
 //! exponential backoff ([`crate::config::RecoveryPolicy`]), and retried;
 //! replayed replies are suppressed by a per-(node, page) sequence check so a
 //! duplicate can never double-apply against a twin. This module holds the
-//! per-protocol-node counters those paths maintain and the plain-value
-//! summary [`crate::Report`] carries.
+//! one timeout/backoff/retry loop ([`retry_until_delivered`]) every such
+//! request goes through, the counters it maintains in the requesting
+//! processor's tally, and the per-node summary [`crate::Report`] carries.
 
 // Recovery code must degrade gracefully, never panic: a recovery path that
 // unwraps turns an injected fault into a crash (scripts/lint.sh pins this
 // for the whole file, including future additions).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use cashmere_sim::Counter;
+use std::sync::Arc;
 
-/// Live per-protocol-node recovery counters (atomic; owned by the engine).
-#[derive(Debug, Default)]
-pub struct RecoveryStats {
-    /// Page-fetch requests that timed out (one per lost attempt).
-    pub fetch_timeouts: Counter,
-    /// Page-fetch retransmissions sent after a timeout.
-    pub fetch_retries: Counter,
-    /// Exclusive-break interrupts that timed out (one per lost attempt).
-    pub break_timeouts: Counter,
-    /// Exclusive-break retransmissions sent after a timeout.
-    pub break_retries: Counter,
-    /// Replayed (duplicate) fetch replies suppressed by the sequence check.
-    pub duplicates_dropped: Counter,
+use cashmere_sim::{Nanos, TimeCategory};
+
+use crate::config::RecoveryPolicy;
+use crate::engine::ProcCtx;
+use crate::trace::{emit, ProtocolEvent, TraceRecorder};
+
+/// Which kind of explicit request is being retried (selects the counters).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Request {
+    /// A page fetch (request/reply or one-sided read).
+    Fetch,
+    /// An exclusive-mode break interrupt.
+    Break,
 }
 
-impl RecoveryStats {
-    /// Fresh zeroed counters.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Plain-value snapshot.
-    #[must_use]
-    pub fn counts(&self) -> RecoveryCounts {
-        RecoveryCounts {
-            fetch_timeouts: self.fetch_timeouts.get(),
-            fetch_retries: self.fetch_retries.get(),
-            break_timeouts: self.break_timeouts.get(),
-            break_retries: self.break_retries.get(),
-            duplicates_dropped: self.duplicates_dropped.get(),
+/// The lost-request loop: while `lost(now, attempt)` says this attempt's
+/// transmission vanished, emit `timeout_event(attempt)`, burn the attempt's
+/// `delivery` cost plus the backed-off timeout in virtual time, count the
+/// timeout and its retransmission, and try again. The plan's
+/// `max_attempts` bounds the loop (the fabric escalates to a reliable path
+/// beyond it), so every request is eventually delivered. Returns whether
+/// any attempt timed out.
+///
+/// This is the only place timeouts and retries are counted and the only
+/// producer of `FetchTimeout`/`BreakTimeout` events.
+pub(crate) fn retry_until_delivered(
+    ctx: &mut ProcCtx,
+    policy: &RecoveryPolicy,
+    rec: &Option<Arc<TraceRecorder>>,
+    request: Request,
+    delivery: Nanos,
+    lost: impl Fn(Nanos, u32) -> bool,
+    timeout_event: impl Fn(u32) -> ProtocolEvent,
+) -> bool {
+    let mut attempt = 1u32;
+    while lost(ctx.clock.now(), attempt) {
+        emit(rec, || timeout_event(attempt));
+        ctx.clock
+            .charge(TimeCategory::CommWait, delivery + policy.timeout(attempt));
+        let r = &mut ctx.tally.recovery;
+        match request {
+            Request::Fetch => {
+                r.fetch_timeouts += 1;
+                r.fetch_retries += 1;
+            }
+            Request::Break => {
+                r.break_timeouts += 1;
+                r.break_retries += 1;
+            }
         }
+        attempt += 1;
     }
+    attempt > 1
 }
 
-/// Plain-value snapshot of one node's [`RecoveryStats`].
+/// One processor's — or, summed, one protocol node's — recovery counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryCounts {
     /// Page-fetch requests that timed out.
@@ -128,22 +149,37 @@ impl RecoverySummary {
 mod tests {
     use super::*;
 
+    /// A field `merge` (or `total`) forgets fails here: both literals name
+    /// every field, each a distinct prime.
     #[test]
-    fn counts_snapshot_and_merge() {
-        let s = RecoveryStats::new();
-        assert!(s.counts().is_zero());
-        s.fetch_timeouts.inc();
-        s.fetch_retries.inc();
-        s.duplicates_dropped.add(3);
-        let c = s.counts();
-        assert_eq!(c.fetch_timeouts, 1);
-        assert_eq!(c.fetch_retries, 1);
-        assert_eq!(c.duplicates_dropped, 3);
-        assert_eq!(c.total(), 5);
-        let mut acc = RecoveryCounts::default();
-        acc.merge(&c);
-        acc.merge(&c);
-        assert_eq!(acc.total(), 10);
+    fn merge_and_total_cover_every_field() {
+        assert!(RecoveryCounts::default().is_zero());
+        let a = RecoveryCounts {
+            fetch_timeouts: 2,
+            fetch_retries: 3,
+            break_timeouts: 5,
+            break_retries: 7,
+            duplicates_dropped: 11,
+        };
+        let b = RecoveryCounts {
+            fetch_timeouts: 13,
+            fetch_retries: 17,
+            break_timeouts: 19,
+            break_retries: 23,
+            duplicates_dropped: 29,
+        };
+        let mut sum = a;
+        sum.merge(&b);
+        let want = RecoveryCounts {
+            fetch_timeouts: 2 + 13,
+            fetch_retries: 3 + 17,
+            break_timeouts: 5 + 19,
+            break_retries: 7 + 23,
+            duplicates_dropped: 11 + 29,
+        };
+        assert_eq!(sum, want);
+        assert_eq!(sum.total(), 28 + 101);
+        assert!(!sum.is_zero());
     }
 
     #[test]

@@ -5,13 +5,15 @@ use std::fmt::Write as _;
 
 use cashmere_obs::json::{self, push_str_escaped, Value};
 use cashmere_obs::ObsReport;
-use cashmere_sim::{Nanos, ProcClock, Stats, TimeBreakdown, TimeCategory};
+use cashmere_sim::{Nanos, ProcClock, TimeBreakdown, TimeCategory};
 
 use crate::config::{ClusterConfig, ProtocolKind};
 use crate::recovery::{RecoveryCounts, RecoverySummary};
 
-/// Plain-value snapshot of the cluster-wide [`Stats`] counters, in Table 3
-/// terms.
+/// The event counters of Table 3 ("Detailed statistics … at 32
+/// processors"). Plain integers: every processor counts into its own
+/// [`Tally`] and the values are summed after the run, which is also how the
+/// paper's table is "aggregated over all 32 processors".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Lock and flag acquires.
@@ -46,31 +48,8 @@ pub struct Counters {
     pub remote_requests: u64,
 }
 
-impl From<&Stats> for Counters {
-    fn from(s: &Stats) -> Self {
-        Self {
-            lock_acquires: s.lock_acquires.get(),
-            barriers: s.barriers.get(),
-            read_faults: s.read_faults.get(),
-            write_faults: s.write_faults.get(),
-            page_transfers: s.page_transfers.get(),
-            directory_updates: s.directory_updates.get(),
-            write_notices: s.write_notices.get(),
-            exclusive_transitions: s.exclusive_transitions.get(),
-            data_bytes: s.data_bytes.get(),
-            twin_creations: s.twin_creations.get(),
-            incoming_diffs: s.incoming_diffs.get(),
-            flush_updates: s.flush_updates.get(),
-            shootdowns: s.shootdowns.get(),
-            home_relocations: s.home_relocations.get(),
-            remote_requests: s.remote_requests.get(),
-        }
-    }
-}
-
 impl Counters {
-    /// Labelled snapshot of every counter, in Table 3 order (mirrors
-    /// `Stats::snapshot`).
+    /// Labelled snapshot of every counter, in Table 3 order.
     #[must_use]
     pub fn pairs(&self) -> [(&'static str, u64); 15] {
         [
@@ -114,6 +93,38 @@ impl Counters {
             _ => {}
         }
     }
+
+    /// Element-wise accumulation.
+    pub fn merge(&mut self, other: &Counters) {
+        self.lock_acquires += other.lock_acquires;
+        self.barriers += other.barriers;
+        self.read_faults += other.read_faults;
+        self.write_faults += other.write_faults;
+        self.page_transfers += other.page_transfers;
+        self.directory_updates += other.directory_updates;
+        self.write_notices += other.write_notices;
+        self.exclusive_transitions += other.exclusive_transitions;
+        self.data_bytes += other.data_bytes;
+        self.twin_creations += other.twin_creations;
+        self.incoming_diffs += other.incoming_diffs;
+        self.flush_updates += other.flush_updates;
+        self.shootdowns += other.shootdowns;
+        self.home_relocations += other.home_relocations;
+        self.remote_requests += other.remote_requests;
+    }
+}
+
+/// One processor's own numbers: the Table 3 counters and the recovery
+/// counters, each bumped at exactly one engine site with a plain add. Owned
+/// by the processor's context like its clock (single writer, no atomics);
+/// [`crate::Cluster::run`] sums the tallies when the processors join.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Table 3 events this processor caused.
+    pub counters: Counters,
+    /// Timeouts, retries and suppressed duplicates this processor, as the
+    /// requester, recovered from.
+    pub recovery: RecoveryCounts,
 }
 
 /// The known fault-injection counter labels (`FaultStats::snapshot`),
@@ -155,11 +166,15 @@ pub struct Report {
 }
 
 impl Report {
-    /// Assembles a report from the engine's statistics and the collected
+    /// Assembles a report from the summed counters and the collected
     /// processor clocks.
-    pub fn build(cfg: &ClusterConfig, stats: &Stats, clocks: &[ProcClock]) -> Self {
+    pub fn build<'a>(
+        cfg: &ClusterConfig,
+        counters: Counters,
+        clocks: impl IntoIterator<Item = &'a ProcClock>,
+    ) -> Self {
         let mut breakdown = TimeBreakdown::default();
-        let mut per_proc = Vec::with_capacity(clocks.len());
+        let mut per_proc = Vec::with_capacity(cfg.topology.total_procs());
         for c in clocks {
             breakdown.merge(c.breakdown());
             per_proc.push(c.now());
@@ -171,7 +186,7 @@ impl Report {
             exec_ns: per_proc.iter().copied().max().unwrap_or(0),
             per_proc_ns: per_proc,
             breakdown,
-            counters: Counters::from(stats),
+            counters,
             recovery: RecoverySummary::default(),
             obs: None,
         }
@@ -371,13 +386,15 @@ mod tests {
     #[test]
     fn report_aggregates_clocks() {
         let cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel);
-        let stats = Stats::new();
-        stats.page_transfers.add(7);
+        let counters = Counters {
+            page_transfers: 7,
+            ..Default::default()
+        };
         let mut c0 = ProcClock::new();
         c0.charge(TimeCategory::User, 100);
         let mut c1 = ProcClock::new();
         c1.charge(TimeCategory::Protocol, 250);
-        let r = Report::build(&cfg, &stats, &[c0, c1]);
+        let r = Report::build(&cfg, counters, &[c0, c1]);
         assert_eq!(r.exec_ns, 250);
         assert_eq!(r.per_proc_ns, vec![100, 250]);
         assert_eq!(r.counters.page_transfers, 7);
@@ -399,7 +416,8 @@ mod tests {
             faults_injected: vec![("fetches_lost", 3)],
             fault_seed: Some(9),
         };
-        let r = Report::build(&cfg, &Stats::new(), &[ProcClock::new()]).with_recovery(summary);
+        let r =
+            Report::build(&cfg, Counters::default(), &[ProcClock::new()]).with_recovery(summary);
         assert_eq!(r.recovery.total().fetch_retries, 3);
         assert_eq!(r.recovery.faults_total(), 3);
         assert_eq!(r.recovery.fault_seed, Some(9));
@@ -409,9 +427,11 @@ mod tests {
     fn json_round_trip_is_exact() {
         use crate::recovery::RecoveryCounts;
         let cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::OneLevelDiff);
-        let stats = Stats::new();
-        stats.twin_creations.add(11);
-        stats.data_bytes.add(4096);
+        let counters = Counters {
+            twin_creations: 11,
+            data_bytes: 4096,
+            ..Default::default()
+        };
         let mut c0 = ProcClock::new();
         c0.charge(TimeCategory::User, 100);
         c0.charge(TimeCategory::Polling, 7);
@@ -429,7 +449,7 @@ mod tests {
             faults_injected: vec![("writes_dropped", 5), ("breaks_lost", 2)],
             fault_seed: Some(77),
         };
-        let r = Report::build(&cfg, &stats, &[c0, c1]).with_recovery(summary);
+        let r = Report::build(&cfg, counters, &[c0, c1]).with_recovery(summary);
         let doc = r.to_json();
         let back = Report::from_json(&doc).expect("round trip");
         assert_eq!(back, r);
@@ -444,10 +464,33 @@ mod tests {
         obs.procs = 4;
         obs.page_heat = vec![0, 3, 9];
         obs.spans_dropped = 1;
-        let r = Report::build(&cfg, &Stats::new(), &[ProcClock::new()]).with_obs(obs);
+        let r = Report::build(&cfg, Counters::default(), &[ProcClock::new()]).with_obs(obs);
         let back = Report::from_json(&r.to_json()).expect("round trip");
         assert_eq!(back, r);
         assert_eq!(back.obs.as_ref().map(|o| o.procs), Some(4));
+    }
+
+    /// A field `merge` forgets fails here: every field of both operands is
+    /// a distinct prime, and the expected sums come from `pairs()`.
+    #[test]
+    fn counters_merge_covers_every_field_in_table3_order() {
+        const PRIMES: [u64; 30] = [
+            2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83,
+            89, 97, 101, 103, 107, 109, 113,
+        ];
+        let names = Counters::default().pairs().map(|(name, _)| name);
+        assert_eq!(names[0], "lock_acquires");
+        assert_eq!(names[14], "remote_requests");
+        let (mut a, mut b) = (Counters::default(), Counters::default());
+        for (i, name) in names.into_iter().enumerate() {
+            a.set(name, PRIMES[i]);
+            b.set(name, PRIMES[15 + i]);
+        }
+        let mut sum = a;
+        sum.merge(&b);
+        for (i, (name, v)) in sum.pairs().into_iter().enumerate() {
+            assert_eq!(v, PRIMES[i] + PRIMES[15 + i], "{name} lost in merge");
+        }
     }
 
     #[test]

@@ -1,13 +1,11 @@
-//! The unified run facade: describe a run with [`RunSpec`], get a
-//! [`Report`] back.
+//! [`RunSpec`]: everything that defines one simulated run, as one value.
 //!
 //! Before this module existed every caller — the examples, the bench
-//! harness, the integration tests — hand-assembled a [`ClusterConfig`],
+//! harness, the integration tests — hand-assembled a [`ClusterConfig`] and
 //! remembered to apply the audit/fault/observability toggles in the right
-//! order, built a [`Cluster`], ran it, and pulled the trace out. [`RunSpec`]
-//! centralizes that assembly so the toggles compose the same way everywhere,
-//! and [`run`] packages the common "seed memory, run every processor,
-//! collect results" shape behind one call.
+//! order. [`RunSpec`] centralizes that assembly so the toggles compose the
+//! same way everywhere; [`RunSpec::build_cluster`] hands back the
+//! [`Cluster`] to allocate on, run, and read back from.
 
 use std::sync::Arc;
 
@@ -15,23 +13,20 @@ use cashmere_faults::FaultPlan;
 use cashmere_sim::{Backend, Messaging, Topology};
 
 use crate::config::{ClusterConfig, DirectoryMode, ProtocolKind, SyncSpec};
-use crate::proc::{Cluster, Proc};
-use crate::report::Report;
-use crate::trace::TraceEvent;
+use crate::proc::Cluster;
 
 /// Everything that defines one simulated run, independent of the
 /// application code itself. Construct with [`RunSpec::new`], refine with
-/// the builder methods, execute with [`run`] (or build the cluster yourself
-/// via [`RunSpec::build_cluster`] when the application drives it, as the
-/// bench harness does).
+/// the builder methods, then build the cluster with
+/// [`RunSpec::build_cluster`].
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     /// Physical cluster shape.
     pub topology: Topology,
     /// Coherence protocol.
     pub protocol: ProtocolKind,
-    /// Deterministic-schedule provenance tag. Echoed into [`RunOutput`];
-    /// fault plans carry their own seed.
+    /// Provenance tag the gates echo into their output rows; fault plans
+    /// carry their own seed.
     pub seed: u64,
     /// Synchronization pool sizing.
     pub sync: SyncSpec,
@@ -157,7 +152,7 @@ impl RunSpec {
 
     /// Builder-style deterministic parallelism: run the simulated
     /// processors on `workers` host threads (clamped to at least 1). The
-    /// [`Report`] is byte-identical at any worker count — see
+    /// [`crate::Report`] is byte-identical at any worker count — see
     /// [`ClusterConfig::with_det_parallel`].
     #[must_use]
     pub fn with_det_parallel(mut self, workers: usize) -> Self {
@@ -196,67 +191,11 @@ impl RunSpec {
         cfg
     }
 
-    /// Materializes the [`ClusterConfig`] with no application tweak.
-    #[must_use]
-    pub fn to_config(&self) -> ClusterConfig {
-        self.to_config_with(|_| {})
-    }
-
     /// Builds a [`Cluster`] ready to run, after letting `tweak` adjust the
     /// base config (see [`Self::to_config_with`]).
     #[must_use]
     pub fn build_cluster(&self, tweak: impl FnOnce(&mut ClusterConfig)) -> Cluster {
         Cluster::new(self.to_config_with(tweak))
-    }
-}
-
-/// Everything [`run`] produces: the report, the audit trace (empty unless
-/// `spec.audit`), the value the setup closure returned (addresses, shapes),
-/// and the cluster itself for post-run readback.
-pub struct RunOutput<T> {
-    /// The spec's seed tag, echoed for provenance.
-    pub seed: u64,
-    /// Virtual-time results ([`Report::obs`] is set when `spec.obs`).
-    pub report: Report,
-    /// Protocol event trace, for `cashmere_check::audit`.
-    pub trace: Vec<TraceEvent>,
-    /// Whatever `setup` returned.
-    pub shared: T,
-    /// The finished cluster (read checksums back with
-    /// [`Cluster::read_u64`] and friends).
-    pub cluster: Cluster,
-}
-
-/// Runs one complete experiment: builds the cluster from `spec`, calls
-/// `setup` once to allocate and seed shared memory, runs `body` on every
-/// simulated processor, and returns the results.
-///
-/// ```
-/// use cashmere_core::{run, ProtocolKind, RunSpec, Topology};
-/// let spec = RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel);
-/// let out = run(&spec, |c| c.alloc_page_aligned(4), |p, &addr| {
-///     p.write_u64(addr + p.id(), p.id() as u64);
-///     p.barrier(0);
-/// });
-/// assert_eq!(out.cluster.read_u64(out.shared + 3), 3);
-/// assert!(out.report.exec_ns > 0);
-/// ```
-pub fn run<T, S, B>(spec: &RunSpec, setup: S, body: B) -> RunOutput<T>
-where
-    S: FnOnce(&mut Cluster) -> T,
-    T: Sync,
-    B: Fn(&mut Proc, &T) + Sync,
-{
-    let mut cluster = spec.build_cluster(|_| {});
-    let shared = setup(&mut cluster);
-    let report = cluster.run(|p| body(p, &shared));
-    let trace = cluster.take_trace();
-    RunOutput {
-        seed: spec.seed,
-        report,
-        trace,
-        shared,
-        cluster,
     }
 }
 
@@ -268,7 +207,7 @@ mod tests {
     fn spec_defaults_match_hand_assembled_config() {
         let topo = Topology::new(2, 2);
         let spec = RunSpec::new(topo, ProtocolKind::OneLevelDiff);
-        let cfg = spec.to_config();
+        let cfg = spec.to_config_with(|_| {});
         let base = ClusterConfig::new(topo, ProtocolKind::OneLevelDiff);
         assert_eq!(cfg.heap_pages, base.heap_pages);
         assert_eq!(
@@ -290,7 +229,10 @@ mod tests {
         assert_eq!(large.directory, DirectoryMode::Sparse);
         // An explicit choice still wins over the topology default.
         let forced = large.with_directory(DirectoryMode::LockFree);
-        assert_eq!(forced.to_config().directory, DirectoryMode::LockFree);
+        assert_eq!(
+            forced.to_config_with(|_| {}).directory,
+            DirectoryMode::LockFree
+        );
     }
 
     #[test]
@@ -307,7 +249,7 @@ mod tests {
         let rdma = RunSpec::new(topo, ProtocolKind::TwoLevel)
             .with_transport(Backend::Rdma)
             .with_messaging(Messaging::Interrupt);
-        let cfg = rdma.to_config();
+        let cfg = rdma.to_config_with(|_| {});
         assert_eq!(cfg.backend, Backend::Rdma);
         assert_eq!(
             cfg.cost.remote_read_latency,
@@ -331,35 +273,5 @@ mod tests {
         assert_eq!(cfg.heap_pages, 32, "tweak overrides the spec's heap");
         assert_eq!(cfg.poll_fraction, 0.0, "spec toggles win over the tweak");
         assert!(cfg.audit && cfg.obs);
-    }
-
-    #[test]
-    fn run_facade_round_trips_shared_state() {
-        let spec = RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
-            .with_sync(SyncSpec {
-                locks: 1,
-                barriers: 2,
-                flags: 0,
-            })
-            .with_heap_pages(8)
-            .with_seed(7);
-        let out = run(
-            &spec,
-            |c| c.alloc_page_aligned(8),
-            |p, &addr| {
-                p.write_u64(addr + p.id(), 100 + p.id() as u64);
-                p.barrier(0);
-                if p.id() == 0 {
-                    let sum: u64 = (0..p.nprocs()).map(|i| p.read_u64(addr + i)).sum();
-                    p.write_u64(addr, sum);
-                }
-                p.barrier(1);
-            },
-        );
-        assert_eq!(out.seed, 7);
-        assert_eq!(out.cluster.read_u64(out.shared), 100 + 101 + 102 + 103);
-        assert!(out.report.exec_ns > 0);
-        assert!(out.trace.is_empty(), "no audit requested");
-        assert!(out.report.obs.is_none(), "no obs requested");
     }
 }

@@ -237,7 +237,7 @@ impl Default for CarrierBarrier {
     }
 }
 
-/// A one-shot (resettable) event flag carrier — the paper's third primitive,
+/// A one-shot event flag carrier — the paper's third primitive,
 /// used e.g. by Gauss to announce pivot-row availability.
 pub struct CarrierFlag {
     inner: Mutex<FlagInner>,
@@ -290,11 +290,6 @@ impl CarrierFlag {
     /// Non-blocking check.
     pub fn is_set(&self) -> bool {
         self.inner.lock().set
-    }
-
-    /// Clears the flag (for reuse across phases).
-    pub fn reset(&self) {
-        self.inner.lock().set = false;
     }
 }
 
@@ -392,7 +387,5 @@ mod tests {
         assert_eq!(h.join(), 9_999);
         // A late waiter keeps its own (later) time.
         assert_eq!(f.wait(20_000), 20_000);
-        f.reset();
-        assert!(!f.is_set());
     }
 }

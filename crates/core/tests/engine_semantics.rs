@@ -7,8 +7,20 @@
 //! exclusive mode, and the no-longer-exclusive (NLE) path.
 
 use cashmere_core::directory::PermBits;
+use cashmere_core::engine::ProcCtx;
+use cashmere_core::report::Counters;
 use cashmere_core::{ClusterConfig, Engine, ProtocolKind, SyncSpec, Topology, PAGE_WORDS};
 use cashmere_sim::ProcId;
+
+/// Table 3 counters summed over the contexts a test drives (each processor
+/// counts into its own tally).
+fn counted(ctxs: &[&ProcCtx]) -> Counters {
+    let mut sum = Counters::default();
+    for ctx in ctxs {
+        sum.merge(&ctx.tally.counters);
+    }
+    sum
+}
 
 /// 2 nodes × 2 processors, two-level protocol, first-touch homing.
 fn engine() -> std::sync::Arc<Engine> {
@@ -34,7 +46,7 @@ fn first_touch_assigns_home_and_directory_word() {
     assert_eq!(e.directory().read_home(0, 0).unwrap().pnode, 0);
     assert!(!e.directory().read_home(0, 0).unwrap().is_default);
     assert_eq!(e.directory().read_word(0, 0, 1).perm, PermBits::Write);
-    assert_eq!(e.stats.home_relocations.get(), 1);
+    assert_eq!(counted(&[&p0]).home_relocations, 1);
     // Home-node writes go straight to the master copy.
     assert_eq!(e.read_back(0), 42);
 }
@@ -53,7 +65,7 @@ fn remote_reader_joins_sharing_set_and_fetches() {
     // Node 1 now appears in the sharing set with a read mapping.
     assert_eq!(e.directory().read_word(0, 1, 0).perm, PermBits::Read);
     assert_eq!(
-        e.stats.page_transfers.get(),
+        counted(&[&p0, &p2]).page_transfers,
         1,
         "one fetch for the remote copy"
     );
@@ -70,19 +82,19 @@ fn intra_node_sharing_coalesces_fetches() {
     e.release_actions(&mut p0);
     e.acquire_actions(&mut p2);
     assert_eq!(e.read_word(&mut p2, 0), 9);
-    let after_first = e.stats.page_transfers.get();
+    let after_first = counted(&[&p0, &p2, &p3]).page_transfers;
     // The sibling faults (its own mprotect) but reuses the node's frame:
     // its update timestamp is newer than both the page's write-notice
     // timestamp and its acquire timestamp.
     e.acquire_actions(&mut p3);
     assert_eq!(e.read_word(&mut p3, 0), 9);
     assert_eq!(
-        e.stats.page_transfers.get(),
+        counted(&[&p0, &p2, &p3]).page_transfers,
         after_first,
         "no second fetch within the node"
     );
     assert!(
-        e.stats.read_faults.get() >= 2,
+        counted(&[&p0, &p2, &p3]).read_faults >= 2,
         "both processors still took their faults"
     );
 }
@@ -113,7 +125,7 @@ fn write_notice_invalidates_only_after_acquire() {
     // is fetched.
     e.acquire_actions(&mut p2);
     assert_eq!(e.read_word(&mut p2, 0), 2, "acquire → invalidate → fetch");
-    assert!(e.stats.write_notices.get() >= 1);
+    assert!(counted(&[&p0, &p2]).write_notices >= 1);
 }
 
 #[test]
@@ -127,7 +139,7 @@ fn release_flush_merges_into_master_and_downgrades() {
     e.release_actions(&mut p0);
     e.acquire_actions(&mut p2);
     e.write_word(&mut p2, 1, 22); // remote write → twin + dirty list
-    assert_eq!(e.stats.twin_creations.get(), 1);
+    assert_eq!(counted(&[&p0, &p2]).twin_creations, 1);
     assert_eq!(
         e.read_back(1),
         0,
@@ -169,7 +181,7 @@ fn exclusive_mode_entry_and_break_via_nle() {
         .exclusive_holder(1, 0)
         .expect("page 1 exclusive");
     assert_eq!(holder, 1, "node 1 holds page 1 exclusively");
-    assert_eq!(e.stats.exclusive_transitions.get(), 1);
+    assert_eq!(counted(&[&p0, &p2, &p3]).exclusive_transitions, 1);
 
     // A sibling writer joins under hardware coherence without leaving
     // exclusive mode.
@@ -183,8 +195,12 @@ fn exclusive_mode_entry_and_break_via_nle() {
     // (read_back deliberately follows the exclusive holder's frame, so the
     // value is still observable for verification).
     e.release_actions(&mut p2);
-    assert_eq!(e.stats.write_notices.get(), 0);
-    assert_eq!(e.stats.flush_updates.get(), 0, "no flush while exclusive");
+    assert_eq!(counted(&[&p0, &p2, &p3]).write_notices, 0);
+    assert_eq!(
+        counted(&[&p0, &p2, &p3]).flush_updates,
+        0,
+        "no flush while exclusive"
+    );
     assert_eq!(
         e.read_back(PAGE_WORDS),
         5,
@@ -195,7 +211,7 @@ fn exclusive_mode_entry_and_break_via_nle() {
     // sibling writer gets an NLE notice, and the reader sees the data.
     assert_eq!(e.read_word(&mut p0, PAGE_WORDS), 5);
     assert!(e.directory().exclusive_holder(1, 0).is_none());
-    assert_eq!(e.stats.exclusive_transitions.get(), 2);
+    assert_eq!(counted(&[&p0, &p2, &p3]).exclusive_transitions, 2);
     assert_eq!(
         e.read_back(PAGE_WORDS + 1),
         6,
@@ -235,12 +251,12 @@ fn overlapping_releases_skip_redundant_flushes_but_both_downgrade() {
         22,
         "node-level diff covers the sibling's words"
     );
-    let flushes_after_a = e.stats.flush_updates.get();
+    let flushes_after_a = counted(&[&p0, &p2, &p3]).flush_updates;
 
     // B's release finds nothing new to flush but still downgrades B.
     e.release_actions(&mut p3);
     assert_eq!(
-        e.stats.flush_updates.get(),
+        counted(&[&p0, &p2, &p3]).flush_updates,
         flushes_after_a,
         "no redundant flush"
     );
@@ -250,9 +266,9 @@ fn overlapping_releases_skip_redundant_flushes_but_both_downgrade() {
         "both write mappings downgraded"
     );
     // B's next write must fault (the downgrade really happened).
-    let wf = e.stats.write_faults.get();
+    let wf = counted(&[&p0, &p2, &p3]).write_faults;
     e.write_word(&mut p3, 2, 23);
-    assert_eq!(e.stats.write_faults.get(), wf + 1);
+    assert_eq!(counted(&[&p0, &p2, &p3]).write_faults, wf + 1);
     e.release_actions(&mut p3);
     assert_eq!(e.read_back(2), 23);
 }
@@ -282,7 +298,7 @@ fn two_way_diffing_on_fetch_preserves_unflushed_local_words() {
         "local unflushed write survived"
     );
     assert!(
-        e.stats.incoming_diffs.get() >= 1,
+        counted(&[&p0, &p2]).incoming_diffs >= 1,
         "two-way diff path exercised"
     );
     // And the local word still flushes at the next release.
@@ -315,18 +331,21 @@ fn shootdown_variant_downgrades_concurrent_writers_on_fetch() {
     // writer: under 2LS this shoots p2 down instead of incoming-diffing.
     e.acquire_actions(&mut p3);
     assert_eq!(e.read_word(&mut p3, 2), 22);
-    assert!(e.stats.shootdowns.get() >= 1, "2LS used shootdown");
+    assert!(
+        counted(&[&p0, &p2, &p3]).shootdowns >= 1,
+        "2LS used shootdown"
+    );
     assert_eq!(
-        e.stats.incoming_diffs.get(),
+        counted(&[&p0, &p2, &p3]).incoming_diffs,
         0,
         "2LS never applies incoming diffs"
     );
     // p2's outstanding write was flushed by the shootdown, not lost.
     assert_eq!(e.read_back(1), 11);
     // p2's next write faults again (its mapping was downgraded).
-    let wf = e.stats.write_faults.get();
+    let wf = counted(&[&p0, &p2, &p3]).write_faults;
     e.write_word(&mut p2, 1, 12);
-    assert_eq!(e.stats.write_faults.get(), wf + 1);
+    assert_eq!(counted(&[&p0, &p2, &p3]).write_faults, wf + 1);
 }
 
 #[test]
@@ -397,7 +416,7 @@ fn write_through_protocol_needs_no_twins_and_master_is_always_current() {
     e.write_word(&mut p1, 1, 11); // remote: doubled write
                                   // Master current BEFORE the release — the write-through property.
     assert_eq!(e.read_back(1), 11);
-    assert_eq!(e.stats.twin_creations.get(), 0, "1L never twins");
+    assert_eq!(counted(&[&p0, &p1]).twin_creations, 0, "1L never twins");
     e.release_actions(&mut p1);
     assert_eq!(e.read_back(1), 11);
 }
@@ -419,11 +438,11 @@ fn redundant_notices_are_suppressed_per_processor() {
         e.write_word(&mut p0, 0, v);
         e.release_actions(&mut p0);
     }
-    let fetches_before = e.stats.page_transfers.get();
+    let fetches_before = counted(&[&p0, &p2]).page_transfers;
     e.acquire_actions(&mut p2);
     assert_eq!(e.read_word(&mut p2, 0), 4);
     assert_eq!(
-        e.stats.page_transfers.get(),
+        counted(&[&p0, &p2]).page_transfers,
         fetches_before + 1,
         "one refetch despite three notices"
     );

@@ -17,8 +17,20 @@
 //!    noticed write. The entry gate must refuse while notices are pending.
 
 use cashmere_core::directory::PermBits;
+use cashmere_core::engine::ProcCtx;
+use cashmere_core::report::Counters;
 use cashmere_core::{ClusterConfig, Engine, ProtocolKind, SyncSpec, Topology, PAGE_WORDS};
 use cashmere_sim::ProcId;
+
+/// Table 3 counters summed over the contexts a test drives (each processor
+/// counts into its own tally).
+fn counted(ctxs: &[&ProcCtx]) -> Counters {
+    let mut sum = Counters::default();
+    for ctx in ctxs {
+        sum.merge(&ctx.tally.counters);
+    }
+    sum
+}
 
 /// 3 nodes × 1 processor, two pages per superpage so page 1 shares page 0's
 /// first-touch home (node 0) and every remote node is a clean third party.
@@ -75,7 +87,7 @@ fn invalidated_twin_residue_blocks_remote_exclusive_entry() {
         e.directory().exclusive_holder(1, 2).is_none(),
         "exclusive entry over an unflushed residue copy"
     );
-    assert_eq!(e.stats.exclusive_transitions.get(), 0);
+    assert_eq!(counted(&[&p0, &w, &r]).exclusive_transitions, 0);
 
     // W's release flushes the residue; R's flushes z. Nothing is lost.
     e.release_actions(&mut w);
@@ -116,10 +128,10 @@ fn residue_flush_posts_write_notices_to_sharers() {
     // W's release retires the residue twin. The flush must post a write
     // notice to node 2 (still a Read sharer), or node 2 would read a stale
     // x forever.
-    let notices_before = e.stats.write_notices.get();
+    let notices_before = counted(&[&p0, &w, &r]).write_notices;
     e.release_actions(&mut w);
     assert!(
-        e.stats.write_notices.get() > notices_before,
+        counted(&[&p0, &w, &r]).write_notices > notices_before,
         "residue flush posted no write notices"
     );
     e.acquire_actions(&mut r);
@@ -150,12 +162,12 @@ fn undrained_write_notice_refuses_exclusive_entry() {
         e.directory().exclusive_holder(1, 1).is_some(),
         "clean private write still enters exclusive mode"
     );
-    assert_eq!(e.stats.exclusive_transitions.get(), 1);
+    assert_eq!(counted(&[&p0, &h, &f]).exclusive_transitions, 1);
 
     // F's write breaks exclusivity and makes both nodes sharers.
     e.write_word(&mut f, x, 1);
     assert!(e.directory().exclusive_holder(1, 2).is_none());
-    assert_eq!(e.stats.exclusive_transitions.get(), 2);
+    assert_eq!(counted(&[&p0, &h, &f]).exclusive_transitions, 2);
     e.release_actions(&mut f); // notice → H
 
     // H consumes that notice, rewrites, releases (notice → F).
@@ -181,7 +193,7 @@ fn undrained_write_notice_refuses_exclusive_entry() {
         "exclusive entry with an undrained write notice"
     );
     assert_eq!(
-        e.stats.exclusive_transitions.get(),
+        counted(&[&p0, &h, &f]).exclusive_transitions,
         2,
         "no third transition"
     );

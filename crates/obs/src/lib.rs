@@ -48,7 +48,7 @@ pub struct ObsReport {
     /// Figure-7 time breakdown summed over processors; its
     /// [`Fig7Breakdown::total`] equals the run's total virtual time.
     pub fig7: Fig7Breakdown,
-    /// Protocol-event counters and latency histograms, cluster-wide.
+    /// Latency histograms and the obs-only event counts, cluster-wide.
     pub metrics: MetricsRegistry,
     /// Fault count per heap page, summed over processors.
     pub page_heat: Vec<u64>,
@@ -278,7 +278,10 @@ mod tests {
         clock.charge(TimeCategory::CommWait, 20);
         p.end(SpanKind::Barrier, &clock);
         p.heat(1);
-        p.metrics.fetches = 2;
+        p.metrics.diffs_sent = 2;
+        p.metrics.interrupts = 3;
+        p.metrics.breaks = 5;
+        p.metrics.mc_lock_acquires = 7;
         p.metrics.fetch_rtt.record(1234);
         p.finish(&clock);
         let mut r = ObsReport::new();
@@ -300,6 +303,30 @@ mod tests {
         let v = json::parse(&doc).expect("self-produced JSON parses");
         let back = ObsReport::from_json(&v).expect("self-produced JSON deserializes");
         assert_eq!(back, r);
+        for (name, _) in r.metrics.counters() {
+            assert!(doc.contains(&format!("\"{name}\":")), "{name} serialized");
+        }
+    }
+
+    /// A document written before the Table 3 mirrors left the registry (its
+    /// `counters` object in that build's key order) still parses: the seven
+    /// dropped keys are ignored, the four kept ones land.
+    #[test]
+    fn parent_format_document_still_parses() {
+        let r = sample_report();
+        let doc = r.to_json().replace(
+            "\"counters\":{\"diffs_sent\":2,\"interrupts\":3,\"breaks\":5,\"mc_lock_acquires\":7}",
+            "\"counters\":{\"read_faults\":9,\"write_faults\":8,\"twin_creations\":6,\
+             \"diffs_sent\":2,\"diffs_applied\":4,\"write_notices\":11,\
+             \"directory_updates\":12,\"interrupts\":3,\"fetches\":13,\"breaks\":5,\
+             \"mc_lock_acquires\":7}",
+        );
+        assert!(
+            doc.contains("\"fetches\":13"),
+            "the old keys are in the document"
+        );
+        let v = json::parse(&doc).expect("parent-format JSON parses");
+        assert_eq!(ObsReport::from_json(&v).expect("deserializes"), r);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The typed metrics registry: protocol-event counters, virtual-time
-//! latency histograms, per-page heat, and per-link traffic.
+//! The typed metrics registry: virtual-time latency histograms, the four
+//! obs-only event counts, and per-link traffic.
 //!
 //! Everything here is plain data owned by one processor (no atomics, no
 //! locking) except [`LinkMetrics`], which the Memory Channel adapter shares
@@ -113,32 +113,20 @@ impl VtHistogram {
     }
 }
 
-/// Per-processor protocol-event counters plus round-trip latency histograms.
+/// Per-processor round-trip latency histograms, plus the four counts only
+/// the observability layer keeps.
 ///
-/// The counter set mirrors the operations §3.3 of the paper attributes costs
-/// to; each is bumped at the same site as the corresponding `sim::Stats`
-/// counter, so `Report::counters` and `Report::obs` agree by construction.
+/// The Table 3 protocol counters (faults, twins, notices, directory
+/// updates, page transfers, incoming diffs) are *not* mirrored here: each
+/// processor counts those once, in its `cashmere_core` tally, and they are
+/// reported as `Report::counters`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
-    /// Page faults taken on reads.
-    pub read_faults: u64,
-    /// Page faults taken on writes.
-    pub write_faults: u64,
-    /// Twins created (fault-time and break-time).
-    pub twin_creations: u64,
     /// Diffs flushed to a master copy.
     pub diffs_sent: u64,
-    /// Incoming diffs applied to a local frame.
-    pub diffs_applied: u64,
-    /// Write notices posted at release.
-    pub write_notices: u64,
-    /// Directory-word updates written to the Memory Channel.
-    pub directory_updates: u64,
     /// Remote requests that interrupt another host (page fetches from a
     /// remote home plus exclusive breaks).
     pub interrupts: u64,
-    /// Page fetches (local and remote).
-    pub fetches: u64,
     /// Exclusive-mode breaks initiated.
     pub breaks: u64,
     /// Memory Channel lock acquisitions (home-node relocation).
@@ -158,15 +146,8 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// Folds another registry into this one.
     pub fn merge(&mut self, other: &Self) {
-        self.read_faults += other.read_faults;
-        self.write_faults += other.write_faults;
-        self.twin_creations += other.twin_creations;
         self.diffs_sent += other.diffs_sent;
-        self.diffs_applied += other.diffs_applied;
-        self.write_notices += other.write_notices;
-        self.directory_updates += other.directory_updates;
         self.interrupts += other.interrupts;
-        self.fetches += other.fetches;
         self.breaks += other.breaks;
         self.mc_lock_acquires += other.mc_lock_acquires;
         self.fetch_rtt.merge(&other.fetch_rtt);
@@ -177,35 +158,22 @@ impl MetricsRegistry {
 
     /// Labelled snapshot of every scalar counter, for reports and JSON.
     #[must_use]
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("read_faults", self.read_faults),
-            ("write_faults", self.write_faults),
-            ("twin_creations", self.twin_creations),
+    pub fn counters(&self) -> [(&'static str, u64); 4] {
+        [
             ("diffs_sent", self.diffs_sent),
-            ("diffs_applied", self.diffs_applied),
-            ("write_notices", self.write_notices),
-            ("directory_updates", self.directory_updates),
             ("interrupts", self.interrupts),
-            ("fetches", self.fetches),
             ("breaks", self.breaks),
             ("mc_lock_acquires", self.mc_lock_acquires),
         ]
     }
 
     /// Sets a counter by its [`Self::counters`] label; ignores unknown names
-    /// (forward compatibility for reports written by newer builds).
+    /// (reports written by other builds — including the seven Table 3
+    /// mirrors older builds wrote here — still parse).
     pub fn set_counter(&mut self, name: &str, v: u64) {
         match name {
-            "read_faults" => self.read_faults = v,
-            "write_faults" => self.write_faults = v,
-            "twin_creations" => self.twin_creations = v,
             "diffs_sent" => self.diffs_sent = v,
-            "diffs_applied" => self.diffs_applied = v,
-            "write_notices" => self.write_notices = v,
-            "directory_updates" => self.directory_updates = v,
             "interrupts" => self.interrupts = v,
-            "fetches" => self.fetches = v,
             "breaks" => self.breaks = v,
             "mc_lock_acquires" => self.mc_lock_acquires = v,
             _ => {}
@@ -327,8 +295,10 @@ mod tests {
     #[test]
     fn registry_counter_labels_round_trip() {
         let m = MetricsRegistry {
-            twin_creations: 7,
+            diffs_sent: 7,
             interrupts: 3,
+            breaks: 5,
+            mc_lock_acquires: 2,
             ..MetricsRegistry::default()
         };
         let mut back = MetricsRegistry::default();

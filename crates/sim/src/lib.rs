@@ -17,7 +17,7 @@
 //!   the per-node Memory Channel PCI link and the per-node memory bus (these
 //!   produce the paper's contention effects: LU's one-level clustering
 //!   collapse and SOR/Gauss's negative clustering),
-//! * [`Stats`] — the aggregate counters of Table 3,
+//! * [`TimeBreakdown`] — the Figure 6 time categories a clock accumulates,
 //! * [`HorizonClock`] — the shared lookahead horizon the deterministic
 //!   parallel scheduler (DESIGN.md §15) advances window by window, and
 //!   [`WakeSlot`], the per-processor location it hands each turn over on.
@@ -34,6 +34,6 @@ pub mod topology;
 pub use cost::{Backend, CostModel, FetchShape, Messaging};
 pub use lookahead::{HorizonClock, WakeSlot};
 pub use resource::Resource;
-pub use stats::{Counter, Stats, TimeBreakdown, TimeCategory};
+pub use stats::{Counter, TimeBreakdown, TimeCategory};
 pub use time::{Nanos, ProcClock};
 pub use topology::{NodeId, NodeMap, ProcId, Topology};

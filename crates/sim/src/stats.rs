@@ -1,9 +1,8 @@
-//! Run statistics: the counters of Table 3 and the execution-time breakdown
-//! of Figure 6.
-//!
-//! All counters are cluster-wide atomics ("aggregated over all 32
-//! processors", as the paper puts it); the time breakdown is accumulated
-//! per-processor in [`TimeBreakdown`] and merged at the end of a run.
+//! The execution-time breakdown of Figure 6, accumulated per processor in
+//! [`TimeBreakdown`] and merged at the end of a run, plus [`Counter`], the
+//! shared atomic tally for the few counts that have more than one writer
+//! (directory traffic). The Table 3 counters are not here: each processor
+//! carries its own plain tally (`cashmere_core::report::Tally`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -89,73 +88,6 @@ impl TimeBreakdown {
     }
 }
 
-/// The statistics of Table 3 ("Detailed statistics … at 32 processors").
-///
-/// One counter per column, plus the twin-maintenance rows that apply only to
-/// the two-level protocols. All counters are monotone and cluster-wide.
-#[derive(Debug, Default)]
-pub struct Stats {
-    /// Lock and flag acquires.
-    pub lock_acquires: Counter,
-    /// Barrier episodes (per-program, not per-processor-crossing).
-    pub barriers: Counter,
-    /// Read page faults taken.
-    pub read_faults: Counter,
-    /// Write page faults taken.
-    pub write_faults: Counter,
-    /// Full pages fetched from a home node.
-    pub page_transfers: Counter,
-    /// Global directory entry modifications.
-    pub directory_updates: Counter,
-    /// Write notices sent.
-    pub write_notices: Counter,
-    /// Transitions into or out of exclusive mode.
-    pub exclusive_transitions: Counter,
-    /// Bytes moved across the Memory Channel (page fetches, diffs, write
-    /// doubling, notices).
-    pub data_bytes: Counter,
-    /// Twins created.
-    pub twin_creations: Counter,
-    /// Incoming (two-way) diffs applied (2L only).
-    pub incoming_diffs: Counter,
-    /// Flush-update operations (flushes that also refresh the twin; 2L only).
-    pub flush_updates: Counter,
-    /// Shootdown operations (2LS only).
-    pub shootdowns: Counter,
-    /// Pages relocated by the first-touch home-assignment heuristic.
-    pub home_relocations: Counter,
-    /// Explicit remote requests (page fetch requests + exclusive breaks).
-    pub remote_requests: Counter,
-}
-
-impl Stats {
-    /// Creates zeroed statistics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Snapshot of every counter as `(name, value)` pairs, in Table 3 order.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("lock_acquires", self.lock_acquires.get()),
-            ("barriers", self.barriers.get()),
-            ("read_faults", self.read_faults.get()),
-            ("write_faults", self.write_faults.get()),
-            ("page_transfers", self.page_transfers.get()),
-            ("directory_updates", self.directory_updates.get()),
-            ("write_notices", self.write_notices.get()),
-            ("exclusive_transitions", self.exclusive_transitions.get()),
-            ("data_bytes", self.data_bytes.get()),
-            ("twin_creations", self.twin_creations.get()),
-            ("incoming_diffs", self.incoming_diffs.get()),
-            ("flush_updates", self.flush_updates.get()),
-            ("shootdowns", self.shootdowns.get()),
-            ("home_relocations", self.home_relocations.get()),
-            ("remote_requests", self.remote_requests.get()),
-        ]
-    }
-}
-
 /// A monotone, thread-safe event counter.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
@@ -226,15 +158,6 @@ mod tests {
         assert_eq!(a.get(TimeCategory::Protocol), 2);
         assert_eq!(a.get(TimeCategory::CommWait), 5);
         assert_eq!(a.total(), 18);
-    }
-
-    #[test]
-    fn snapshot_lists_every_counter() {
-        let s = Stats::new();
-        s.write_faults.add(3);
-        let snap = s.snapshot();
-        assert_eq!(snap.len(), 15);
-        assert!(snap.contains(&("write_faults", 3)));
     }
 
     #[test]

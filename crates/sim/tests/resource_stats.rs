@@ -2,9 +2,9 @@
 //! ([`Resource`]'s busy-interval bookkeeping — what the fault layer's delay
 //! and outage injection perturbs) and for the Figure 6 time-breakdown bins
 //! (the stacked-bar "histogram" of execution time: [`TimeCategory`] are its
-//! bin edges) plus the Table 3 counters.
+//! bin edges) plus the shared [`Counter`].
 
-use cashmere_sim::{Counter, Nanos, Resource, Stats, TimeBreakdown, TimeCategory};
+use cashmere_sim::{Counter, Nanos, Resource, TimeBreakdown, TimeCategory};
 
 // --- Resource occupancy accounting ------------------------------------
 
@@ -127,18 +127,4 @@ fn counter_add_zero_is_a_no_op_and_adds_accumulate() {
     c.inc();
     c.add(41);
     assert_eq!(c.get(), 42);
-}
-
-#[test]
-fn stats_snapshot_preserves_table3_order() {
-    let s = Stats::new();
-    s.remote_requests.add(9);
-    let snap = s.snapshot();
-    assert_eq!(snap.first().map(|&(k, _)| k), Some("lock_acquires"));
-    assert_eq!(snap.last(), Some(&("remote_requests", 9)));
-    // Every name is distinct (serialization keys must not collide).
-    let mut names: Vec<_> = snap.iter().map(|&(k, _)| k).collect();
-    names.sort_unstable();
-    names.dedup();
-    assert_eq!(names.len(), snap.len());
 }

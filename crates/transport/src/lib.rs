@@ -3,10 +3,12 @@
 //!
 //! The coherence engine and the directory never talk to
 //! [`MemoryChannel`] directly any more — they talk to `dyn Transport`,
-//! which covers exactly the operations they use: region create/attach,
-//! remote word / block / sparse / run writes, tree broadcast and charging,
-//! bulk link charges, local reads/doubles, and the page-fetch data
-//! movement. Three implementations exist:
+//! which covers exactly the operations they call: region create/attach,
+//! remote word and run writes, tree broadcast and charging, bulk link
+//! charges, local reads, and the page-fetch data movement. (The channel's
+//! other entry points — block and sparse writes, the manual local double —
+//! stay inherent methods of [`MemoryChannel`], where their only callers
+//! are.) Three implementations exist:
 //!
 //! * [`MemoryChannel`] itself ([`Backend::MemoryChannel`]) — the paper's
 //!   1997 remote-write-only network. Fetches are request/reply
@@ -44,14 +46,8 @@ use cashmere_sim::{Backend, CostModel, FetchShape, Nanos};
 /// virtual time at which the operation has been performed (globally, for
 /// ordered region writes).
 pub trait Transport: Send + Sync {
-    /// Which backend this is (drives cost-model selection and reporting).
-    fn backend(&self) -> Backend;
-
     /// The cost model in force.
     fn cost(&self) -> &CostModel;
-
-    /// Number of endpoints (protocol nodes).
-    fn endpoints(&self) -> usize;
 
     /// Creates a region of `words` 64-bit words; `loopback` selects whether
     /// a writer's own receive copy observes its own transmits.
@@ -60,38 +56,17 @@ pub trait Transport: Send + Sync {
     /// Maps region `r` for receive on `endpoint` (idempotent).
     fn attach_rx(&self, r: RegionId, endpoint: usize);
 
-    /// Whether `endpoint` has a receive mapping for `r`.
-    fn has_rx(&self, r: RegionId, endpoint: usize) -> bool;
-
     /// Direct handle to `endpoint`'s receive buffer, if mapped.
     fn rx_buffer(&self, r: RegionId, endpoint: usize) -> Option<RxBuffer>;
 
     /// Reads a word from `endpoint`'s receive copy (charge-free).
     fn read_local(&self, r: RegionId, endpoint: usize, offset: usize) -> u64;
 
-    /// Stores directly into `endpoint`'s own receive copy (the manual
-    /// write double; charge-free).
-    fn write_local(&self, r: RegionId, endpoint: usize, offset: usize, val: u64);
-
     /// Writes one word through `from`'s transmit mapping.
     fn write(&self, r: RegionId, from: usize, offset: usize, val: u64, now: Nanos) -> Nanos;
 
-    /// Writes a contiguous block through `from`'s transmit mapping.
-    fn write_block(
-        &self,
-        r: RegionId,
-        from: usize,
-        offset: usize,
-        vals: &[u64],
-        now: Nanos,
-    ) -> Nanos;
-
-    /// Writes sparse index/value pairs (the per-word diff shape).
-    fn write_sparse(&self, r: RegionId, from: usize, entries: &[(u32, u64)], now: Nanos) -> Nanos;
-
     /// Writes a run-length-encoded diff; wire cost is 12 bytes per dirty
-    /// word, identical to [`write_sparse`](Self::write_sparse) for the same
-    /// word set.
+    /// word.
     fn write_runs(&self, r: RegionId, from: usize, runs: &[(u32, &[u64])], now: Nanos) -> Nanos;
 
     /// Writes one word to every attached copy through a `fanout`-ary
@@ -134,14 +109,8 @@ pub trait Transport: Send + Sync {
 }
 
 impl Transport for MemoryChannel {
-    fn backend(&self) -> Backend {
-        Backend::MemoryChannel
-    }
     fn cost(&self) -> &CostModel {
         MemoryChannel::cost(self)
-    }
-    fn endpoints(&self) -> usize {
-        MemoryChannel::endpoints(self)
     }
     fn create_region(&self, words: usize, loopback: bool) -> RegionId {
         MemoryChannel::create_region(self, words, loopback)
@@ -149,33 +118,14 @@ impl Transport for MemoryChannel {
     fn attach_rx(&self, r: RegionId, endpoint: usize) {
         MemoryChannel::attach_rx(self, r, endpoint);
     }
-    fn has_rx(&self, r: RegionId, endpoint: usize) -> bool {
-        MemoryChannel::has_rx(self, r, endpoint)
-    }
     fn rx_buffer(&self, r: RegionId, endpoint: usize) -> Option<RxBuffer> {
         MemoryChannel::rx_buffer(self, r, endpoint)
     }
     fn read_local(&self, r: RegionId, endpoint: usize, offset: usize) -> u64 {
         MemoryChannel::read_local(self, r, endpoint, offset)
     }
-    fn write_local(&self, r: RegionId, endpoint: usize, offset: usize, val: u64) {
-        MemoryChannel::write_local(self, r, endpoint, offset, val);
-    }
     fn write(&self, r: RegionId, from: usize, offset: usize, val: u64, now: Nanos) -> Nanos {
         MemoryChannel::write(self, r, from, offset, val, now)
-    }
-    fn write_block(
-        &self,
-        r: RegionId,
-        from: usize,
-        offset: usize,
-        vals: &[u64],
-        now: Nanos,
-    ) -> Nanos {
-        MemoryChannel::write_block(self, r, from, offset, vals, now)
-    }
-    fn write_sparse(&self, r: RegionId, from: usize, entries: &[(u32, u64)], now: Nanos) -> Nanos {
-        MemoryChannel::write_sparse(self, r, from, entries, now)
     }
     fn write_runs(&self, r: RegionId, from: usize, runs: &[(u32, &[u64])], now: Nanos) -> Nanos {
         MemoryChannel::write_runs(self, r, from, runs.iter().copied(), now)
@@ -219,7 +169,7 @@ impl Transport for MemoryChannel {
 /// interposition, same traffic counters — with the backend's own cost
 /// model) but whose page fetches are **direct remote reads**.
 macro_rules! direct_read_transport {
-    ($ty:ident, $backend:expr) => {
+    ($ty:ident) => {
         impl $ty {
             /// Wraps a channel (built with this backend's cost model).
             pub fn new(inner: MemoryChannel) -> Self {
@@ -228,14 +178,8 @@ macro_rules! direct_read_transport {
         }
 
         impl Transport for $ty {
-            fn backend(&self) -> Backend {
-                $backend
-            }
             fn cost(&self) -> &CostModel {
                 self.0.cost()
-            }
-            fn endpoints(&self) -> usize {
-                self.0.endpoints()
             }
             fn create_region(&self, words: usize, loopback: bool) -> RegionId {
                 self.0.create_region(words, loopback)
@@ -243,17 +187,11 @@ macro_rules! direct_read_transport {
             fn attach_rx(&self, r: RegionId, endpoint: usize) {
                 self.0.attach_rx(r, endpoint);
             }
-            fn has_rx(&self, r: RegionId, endpoint: usize) -> bool {
-                self.0.has_rx(r, endpoint)
-            }
             fn rx_buffer(&self, r: RegionId, endpoint: usize) -> Option<RxBuffer> {
                 self.0.rx_buffer(r, endpoint)
             }
             fn read_local(&self, r: RegionId, endpoint: usize, offset: usize) -> u64 {
                 self.0.read_local(r, endpoint, offset)
-            }
-            fn write_local(&self, r: RegionId, endpoint: usize, offset: usize, val: u64) {
-                self.0.write_local(r, endpoint, offset, val);
             }
             fn write(
                 &self,
@@ -264,25 +202,6 @@ macro_rules! direct_read_transport {
                 now: Nanos,
             ) -> Nanos {
                 self.0.write(r, from, offset, val, now)
-            }
-            fn write_block(
-                &self,
-                r: RegionId,
-                from: usize,
-                offset: usize,
-                vals: &[u64],
-                now: Nanos,
-            ) -> Nanos {
-                self.0.write_block(r, from, offset, vals, now)
-            }
-            fn write_sparse(
-                &self,
-                r: RegionId,
-                from: usize,
-                entries: &[(u32, u64)],
-                now: Nanos,
-            ) -> Nanos {
-                self.0.write_sparse(r, from, entries, now)
             }
             fn write_runs(
                 &self,
@@ -335,12 +254,12 @@ macro_rules! direct_read_transport {
 /// post/poll cost charged by the protocol layer
 /// ([`CostModel::fetch_direct_fixed`]).
 pub struct RdmaTransport(MemoryChannel);
-direct_read_transport!(RdmaTransport, Backend::Rdma);
+direct_read_transport!(RdmaTransport);
 
 /// CXL/disaggregated-memory-like backend ([`CostModel::cxl`]): load/store
 /// far memory; direct reads with zero per-message software overhead.
 pub struct CxlTransport(MemoryChannel);
-direct_read_transport!(CxlTransport, Backend::Cxl);
+direct_read_transport!(CxlTransport);
 
 /// Builds the transport a [`TransportConfig`] describes, dispatching on its
 /// [`Backend`]. This is the one assembly point the engine (and every test

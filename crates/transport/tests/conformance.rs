@@ -47,10 +47,6 @@ fn scripted_schedule(t: &dyn Transport) -> Vec<Nanos> {
     for i in 0..8u64 {
         now = t.write(r, 0, (i % 64) as usize, 0x1000 + i, now);
         times.push(now);
-        now = t.write_block(r, 1, 8, &[i, i + 1, i + 2], now);
-        times.push(now);
-        now = t.write_sparse(r, 0, &[(20, i), (40, i * 3)], now);
-        times.push(now);
         now = t.write_runs(r, 1, &[(30, &[i, i + 7])], now);
         times.push(now);
         now = t.write_tree(r, 0, 5, i, 4, now);
@@ -66,12 +62,10 @@ fn scripted_schedule(t: &dyn Transport) -> Vec<Nanos> {
 }
 
 #[test]
-fn reports_its_backend_shape_and_cost_model() {
+fn reports_its_fetch_shape_and_cost_model() {
     for b in Backend::ALL {
         let t = clean(b);
-        assert_eq!(t.backend(), b);
         assert_eq!(t.fetch_shape(), b.fetch_shape());
-        assert_eq!(t.endpoints(), 2);
         let expect = b.cost_model();
         assert_eq!(t.cost().mc_write_latency, expect.mc_write_latency);
         assert_eq!(t.cost().remote_read_latency, expect.remote_read_latency);
@@ -85,23 +79,16 @@ fn writes_are_visible_at_every_attached_receiver() {
         let r = t.create_region(64, true);
         t.attach_rx(r, 0);
         t.attach_rx(r, 1);
-        assert!(t.has_rx(r, 0) && t.has_rx(r, 1));
 
         let mut now = t.write(r, 0, 3, 0xBEEF, 0);
-        now = t.write_block(r, 0, 10, &[7, 8, 9], now);
-        now = t.write_sparse(r, 1, &[(30, 111), (31, 222)], now);
-        t.write_runs(r, 0, &[(40, &[5, 6])], now);
-        t.write_local(r, 1, 60, 0xD0D0);
+        now = t.write_runs(r, 1, &[(40, &[5, 6])], now);
+        t.write_tree(r, 0, 50, 0xD0D0, 4, now);
 
         for e in [0usize, 1] {
             assert_eq!(t.read_local(r, e, 3), 0xBEEF, "{b:?} word @ {e}");
-            assert_eq!(t.read_local(r, e, 11), 8, "{b:?} block @ {e}");
-            assert_eq!(t.read_local(r, e, 31), 222, "{b:?} sparse @ {e}");
             assert_eq!(t.read_local(r, e, 41), 6, "{b:?} runs @ {e}");
+            assert_eq!(t.read_local(r, e, 50), 0xD0D0, "{b:?} tree @ {e}");
         }
-        // The manual double lands only in the writer's own copy.
-        assert_eq!(t.read_local(r, 1, 60), 0xD0D0);
-        assert_eq!(t.read_local(r, 0, 60), 0);
         let rx = t.rx_buffer(r, 1).expect("attached buffer");
         assert_eq!(rx.load(3), 0xBEEF);
     }

@@ -14,8 +14,14 @@
 #       invisible to it (std::thread::scope is fine — scoped fan-out cannot
 #       leak threads).
 #   recovery no-panic — unwrap()/expect() are banned in recovery paths
-#       (crates/core/src/recovery.rs and crates/faults non-test code): a
+#       (crates/core/src/recovery.rs — which holds the one timeout/retry
+#       loop, not just its counters — and crates/faults non-test code): a
 #       recovery path that panics turns the injected fault into a crash.
+#   env knobs — std::env::var{,_os} is banned under crates/ outside
+#       crates/bench (the gate CLI) and crates/shims/model (the explorer's
+#       budget/replay switches): behaviour is configured through
+#       ClusterConfig/RunSpec, and diagnostics go through the typed audit
+#       trace, so debug switches cannot grow back.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -111,5 +117,16 @@ if [[ -n "$faults_viol" ]]; then
     fail=1
 fi
 echo "lint(recovery-no-panic): recovery paths free of unwrap/expect"
+
+# --- no environment knobs outside the gate CLI and the explorer ------------
+
+env_knobs="$(grep -rnE --include='*.rs' 'env::var(_os)?\(' crates \
+    | grep -vE '^crates/(bench|shims/model)/' || true)"
+if [[ -n "$env_knobs" ]]; then
+    echo "FAIL lint(env-knobs): std::env::var is banned under crates/ outside crates/bench and crates/shims/model (add a ClusterConfig/RunSpec field, or use the audit trace)" >&2
+    echo "$env_knobs" >&2
+    fail=1
+fi
+echo "lint(env-knobs): no environment variables read outside crates/bench and crates/shims/model"
 
 exit "$fail"
