@@ -4,6 +4,10 @@
 //!
 //! * **write-notice batch** — 64 striped [`ProcNoticeList`] inserts plus
 //!   the drain that merges them back into post order;
+//! * **empty drains** — the three write-notice lists drained with nothing
+//!   pending, at several cluster sizes: what an acquire or a release pays
+//!   when there is no coherence work, which must not grow with the cluster
+//!   (the benchmark's `write_notice.drain64_ns` times the full-bin case);
 //! * **det gate hand-off** — a gate handed from one processor's host
 //!   thread to another's, the scheduler's floor per gate;
 //! * **workload sampling** — the service-trace generator's per-op path.
@@ -17,7 +21,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cashmere_core::det::DetScheduler;
-use cashmere_core::write_notice::ProcNoticeList;
+use cashmere_core::write_notice::{NleList, NoticeBoard, ProcNoticeList};
+use cashmere_core::DirectoryMode;
 use cashmere_workload::{KeyMap, Sampler};
 
 /// Timing rounds per row; the median is reported.
@@ -45,6 +50,12 @@ fn report(name: &str, ns: f64) {
     println!("{name:42} {ns:10.1} ns/op");
 }
 
+/// One empty-drain row: a million calls a round, so a 1 ns drain is timed
+/// over a millisecond.
+fn empty_drain(name: String, drain: impl FnMut()) {
+    report(&name, bench(1_000_000, drain));
+}
+
 fn main() {
     println!("hotpath microbenchmarks ({ROUNDS} rounds, median reported)");
 
@@ -56,6 +67,34 @@ fn main() {
         black_box(list.drain());
     });
     report("ProcNoticeList: 64 inserts + drain", drain);
+
+    // Each list holds one entry going in, so all but the first of the
+    // timed drains are of a list that has been occupied and emptied, not
+    // of a never-touched one.
+    for bins in [8, 64, 1024] {
+        let board = NoticeBoard::new(bins, DirectoryMode::LockFree, 0);
+        board.post(0, bins - 1, 1, 0);
+        empty_drain(format!("NoticeBoard::drain, empty ({bins} bins)"), || {
+            black_box(board.drain(black_box(0)));
+        });
+    }
+    for posters in [32, 1024] {
+        let nle = NleList::new(posters);
+        nle.push(1, posters - 1);
+        empty_drain(format!("NleList::drain, empty ({posters} posters)"), || {
+            black_box(black_box(&nle).drain());
+        });
+    }
+    for stripes in [4, 16] {
+        let list = ProcNoticeList::new(4096, stripes);
+        list.insert(1, stripes - 1);
+        empty_drain(
+            format!("ProcNoticeList::drain, empty ({stripes} stripes)"),
+            || {
+                black_box(black_box(&list).drain());
+            },
+        );
+    }
 
     // Two processors on their own host threads take gates at the same
     // virtual times, so every grant and every window release crosses

@@ -93,6 +93,9 @@ pub fn ladder(ctx: &mut Ctx, shapes: &[&str]) {
     // Per cell, what the checks below read: directory accounting off the
     // finished engine, and whether the cell completed cleanly.
     let mut results: Vec<(DirUsage, bool)> = Vec::with_capacity(cells.len());
+    // Host wall per shape, summed over its cells. Reported, never checked:
+    // it is a host clock, and cells share the machine `jobs` at a time.
+    let mut shape_wall_ms = vec![0.0; topos.len()];
     run_cells(&cells, ctx.jobs, |cell, cluster| {
         let spec = &cell.cell.spec;
         let u = cluster.engine().directory().usage();
@@ -102,8 +105,11 @@ pub fn ladder(ctx: &mut Ctx, shapes: &[&str]) {
         let report = &cell.outcome.report;
         let pnodes = spec.protocol.node_map().protocol_nodes(&spec.topology);
         let speedup = seq.report.exec_ns as f64 / report.exec_ns.max(1) as f64;
+        let wall_ms = cell.wall_secs * 1e3;
+        let shape = topos.iter().position(|&t| t == spec.topology);
+        shape_wall_ms[shape.expect("cell shape is one of topos")] += wall_ms;
         println!(
-            "{:7} {:10} {} pnodes={pnodes:4} exec={:9.4}s speedup={speedup:6.2} \
+            "{:7} {:10} {} pnodes={pnodes:4} exec={:9.4}s speedup={speedup:6.2} wall={wall_ms:7.1}ms \
              proto_bytes={:10} dir_mem={:8}B audit_clean={audit_clean} checksum_ok={checksum_ok}",
             spec.topology.to_string(),
             mode_label(spec.directory),
@@ -124,6 +130,7 @@ pub fn ladder(ctx: &mut Ctx, shapes: &[&str]) {
                 .val("pnodes", pnodes)
                 .f64("exec_secs", report.exec_secs())
                 .f64("speedup", speedup)
+                .f64("wall_ms", wall_ms)
                 .val("checksum_ok", checksum_ok)
                 .val("audit_clean", audit_clean)
                 .val("protocol_bytes", u.protocol_bytes())
@@ -251,6 +258,12 @@ pub fn ladder(ctx: &mut Ctx, shapes: &[&str]) {
             );
         }
     }
+    let walls: Vec<String> = topos
+        .iter()
+        .zip(&shape_wall_ms)
+        .map(|(t, ms)| format!("{t}: {ms:.0} ms"))
+        .collect();
+    println!("host wall by shape (all cells)  {}", walls.join("  "));
     ctx.doc
         .val("shapes", json_arr(topos.iter().map(|t| format!("\"{t}\""))))
         .val("node_counts", json_arr(topos.iter().map(Topology::nodes)))

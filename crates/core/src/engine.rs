@@ -430,9 +430,9 @@ impl Engine {
         let pnodes = (0..n_pnodes)
             .map(|pn| {
                 let locals = map.procs_of(&topo, cashmere_sim::NodeId(pn));
-                // Notice-list stripes: one per local poster; NLE stripes:
-                // one per cluster processor (exclusive-mode breakers post
-                // on the holder's behalf from any node).
+                // Notice-list stripes: one per local poster. The NLE list
+                // is one queue whichever of the cluster's processors posts
+                // (exclusive-mode breakers, on the holder's behalf).
                 let nlocal = locals.len();
                 PNode {
                     clock: AtomicU64::new(1),

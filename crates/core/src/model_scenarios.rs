@@ -31,7 +31,7 @@ use cashmere_transport::build_transport;
 use crate::config::DirectoryMode;
 use crate::directory::{DirWord, Directory, PermBits};
 use crate::mc_lock::McLock;
-use crate::write_notice::ProcNoticeList;
+use crate::write_notice::{NleList, NoticeBoard, ProcNoticeList};
 
 /// Striped write-notice lists: `posters` threads insert disjoint page
 /// ranges (`per` pages each) while a drainer runs `drains` concurrent
@@ -142,6 +142,174 @@ pub fn contended_insert_exactly_once(mutant: bool) {
     assert_eq!(
         delivered, fresh,
         "every fresh claim delivered exactly once (fresh={fresh})"
+    );
+}
+
+/// Posters racing one continuously draining thread, the shape both
+/// occupancy-indexed lists of DESIGN.md §10 are checked in. Poster `p` of
+/// `posters` calls `post(p, k)` for `k` in `0..per` and publishes, after
+/// each, how many of its posts have returned; one thread calls `drain`
+/// `drains` times, and once more after the posters are done. `drain`
+/// returns `(poster, k)` pairs. Each poster's items must come out exactly
+/// once and in post order; an item whose post had returned when a drain
+/// started must be out by the end of that drain (never stranded behind a
+/// cleared summary); and whenever `claims_empty` holds before a drain, no
+/// returned post may be outstanding.
+fn posters_racing_one_drainer(
+    posters: usize,
+    per: u32,
+    drains: usize,
+    post: impl Fn(usize, u32) + Send + Sync + 'static,
+    claims_empty: impl Fn() -> bool + Send + Sync + 'static,
+    drain: impl Fn() -> Vec<(usize, u32)> + Send + Sync + 'static,
+) {
+    let returned: Arc<Vec<ModelAtomicU64>> =
+        Arc::new((0..posters).map(|_| ModelAtomicU64::new(0)).collect());
+    let post = Arc::new(post);
+    let hs: Vec<_> = (0..posters)
+        .map(|p| {
+            let post = Arc::clone(&post);
+            let returned = Arc::clone(&returned);
+            thread::spawn(move || {
+                for k in 0..per {
+                    post(p, k);
+                    returned[p].store(u64::from(k) + 1, Ordering::Release);
+                    if k % 64 == 0 {
+                        thread::yield_now();
+                    }
+                }
+            })
+        })
+        .collect();
+    // One drain plus its checks; `got[p]` counts poster `p`'s items out so
+    // far, which post order makes the next `k` expected.
+    let step = Arc::new(move |got: &mut [u64]| {
+        let before: Vec<u64> = returned.iter().map(|r| r.load(Ordering::Acquire)).collect();
+        let caught_up = |got: &[u64]| got.iter().zip(&before).all(|(g, r)| g >= r);
+        if claims_empty() {
+            assert!(
+                caught_up(got),
+                "is_empty held with a returned post undrained: got {got:?}, returned {before:?}"
+            );
+        }
+        for (p, k) in drain() {
+            assert_eq!(
+                u64::from(k),
+                got[p],
+                "poster {p}'s items must arrive exactly once, in post order"
+            );
+            got[p] += 1;
+        }
+        assert!(
+            caught_up(got),
+            "an item posted before the drain began was stranded: got {got:?}, returned {before:?}"
+        );
+    });
+    let drainer = {
+        let step = Arc::clone(&step);
+        thread::spawn(move || {
+            let mut got = vec![0u64; posters];
+            for _ in 0..drains {
+                step(&mut got);
+                thread::yield_now();
+            }
+            got
+        })
+    };
+    for h in hs {
+        h.join();
+    }
+    let mut got = drainer.join();
+    step(&mut got);
+    assert!(
+        got.iter().all(|&g| g == u64::from(per)),
+        "every item delivered exactly once: {got:?}"
+    );
+}
+
+/// The notice board's occupancy summary (DESIGN.md §10): `posters`
+/// processors spread over `senders` nodes (poster `p` on node
+/// `p % senders + 1`, so with fewer nodes than posters siblings share a
+/// bin and race for its occupancy bit) post `per` notices each into
+/// destination 0 while one thread drains it — see
+/// [`posters_racing_one_drainer`] for the delivery assertions, here with
+/// `is_empty` as the emptiness claim and ascending sender order checked on
+/// every drain. With `mutant`, the drain clears the occupancy bits *after*
+/// popping, and the explorer must find the schedule where a post lands
+/// between the pops and the clear.
+pub fn notice_summary_exactly_once(
+    posters: u32,
+    senders: u32,
+    per: u32,
+    drains: usize,
+    mutant: bool,
+) {
+    let b = Arc::new(NoticeBoard::new(
+        senders as usize + 1,
+        DirectoryMode::LockFree,
+        0,
+    ));
+    let (poster, prober, drainer) = (Arc::clone(&b), Arc::clone(&b), Arc::clone(&b));
+    posters_racing_one_drainer(
+        posters as usize,
+        per,
+        drains,
+        move |p, k| {
+            poster.post(0, p % senders as usize + 1, p as u32 * per + k, 0);
+        },
+        move || prober.is_empty(0),
+        move || {
+            let d = if mutant {
+                drainer.drain_mutant_clear_after_pop(0)
+            } else {
+                drainer.drain(0)
+            };
+            assert!(
+                d.windows(2).all(|w| w[0].0 <= w[1].0),
+                "drain left ascending sender order: {d:?}"
+            );
+            d.into_iter()
+                .map(|(from, page)| {
+                    let p = (page / per) as usize;
+                    assert_eq!(from, p % senders as usize + 1, "notice in the wrong bin");
+                    (p, page % per)
+                })
+                .collect()
+        },
+    );
+    assert!(
+        b.is_empty(0),
+        "nothing pending once everything is delivered"
+    );
+}
+
+/// The NLE list's pending flag (DESIGN.md §10): `posters` threads push
+/// `per` distinct pages each while the owner drains — see
+/// [`posters_racing_one_drainer`]. With `mutant`, the push raises the flag
+/// *before* it pushes, and the explorer must find the schedule where a
+/// drain in between lowers the flag over a page still to come.
+pub fn nle_pending_flag(posters: u32, per: u32, drains: usize, mutant: bool) {
+    let n = Arc::new(NleList::new(posters as usize));
+    let pusher = Arc::clone(&n);
+    posters_racing_one_drainer(
+        posters as usize,
+        per,
+        drains,
+        move |p, k| {
+            let page = p as u32 * per + k;
+            if mutant {
+                pusher.push_mutant_flag_before_push(page);
+            } else {
+                pusher.push(page, p);
+            }
+        },
+        || false,
+        move || {
+            n.drain()
+                .into_iter()
+                .map(|page| ((page / per) as usize, page % per))
+                .collect()
+        },
     );
 }
 

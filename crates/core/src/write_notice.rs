@@ -20,6 +20,12 @@
 //! each notice to the per-processor lists of the local processors that have
 //! a mapping for the page, then processes its own per-processor list.
 //!
+//! Every list is **occupancy-indexed** (DESIGN.md §10): a drain with nothing
+//! pending is a single atomic load and takes no lock, and a drain with *k*
+//! holders pending visits those *k* only — the point of the paper's
+//! structure is that a processor does no work for notices that are not
+//! there.
+//!
 //! The §3.3.5 ablation ([`DirectoryMode::GlobalLock`]) replaces the per-bin
 //! single-writer discipline with one global-locked list per node, modeled by
 //! serializing posts through a per-node virtual-time gate.
@@ -27,7 +33,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use cashmere_model::ModelAtomicU64;
+use cashmere_model::{ModelAtomicBool, ModelAtomicU64};
 use crossbeam::queue::SegQueue;
 use parking_lot::Mutex;
 
@@ -42,9 +48,35 @@ pub struct NodeBins {
     /// cluster; sized to the actual node count here). `bins[from]` is
     /// written only by node `from`.
     bins: Vec<SegQueue<u32>>,
+    /// Occupancy summary over `bins`, one bit per sender: a poster raises
+    /// its bit *after* its push, a drain swaps a word to zero *before*
+    /// popping the bins it named. A set bit may be stale (its bin already
+    /// emptied by a drain working off an earlier bit); a notice whose post
+    /// has returned always has its bit up, or a drain already bound to pop
+    /// its bin.
+    occupied: Vec<ModelAtomicU64>,
+    /// Occupancy bits raised and not yet settled by the drain that swapped
+    /// them: a poster counts itself in *before* raising a bit, a drain
+    /// counts the bits it swapped out *after* its pops — so this is never
+    /// zero while a notice whose post has returned sits in its bin.
+    pending: ModelAtomicU64,
     /// Serialization gate for the GlobalLock ablation (`None` when
     /// lock-free).
     gate: Option<Resource>,
+}
+
+impl NodeBins {
+    /// Empties the bins named by the bits of occupancy word `w`, in
+    /// ascending sender order, FIFO within a bin.
+    fn pop_bins(&self, w: usize, mut set: u64, out: &mut Vec<(usize, u32)>) {
+        while set != 0 {
+            let from = w * 64 + set.trailing_zeros() as usize;
+            set &= set - 1;
+            while let Some(page) = self.bins[from].pop() {
+                out.push((from, page));
+            }
+        }
+    }
 }
 
 /// All nodes' global write-notice lists.
@@ -63,6 +95,10 @@ impl NoticeBoard {
         let nodes = (0..pnodes)
             .map(|_| NodeBins {
                 bins: (0..pnodes).map(|_| SegQueue::new()).collect(),
+                occupied: (0..pnodes.div_ceil(64))
+                    .map(|_| ModelAtomicU64::new(0))
+                    .collect(),
+                pending: ModelAtomicU64::new(0),
                 gate: match mode {
                     // Sparse keeps the paper's lock-free notice bins; only
                     // the directory's layout changes (DESIGN.md §12).
@@ -98,22 +134,73 @@ impl NoticeBoard {
         // is sequenced after the post.
         emit(&self.rec, || ProtocolEvent::WnPost { to, from, page });
         node.bins[from].push(page);
+        // Set-after-push. A bit already up needs nothing more: the swap
+        // that takes it down comes after this load, hence after the push,
+        // and that drain pops the bin. Otherwise count in, then raise the
+        // bit — and count back out if a sibling processor of this node
+        // raised it first (its own count stands for both). The AcqRel RMWs
+        // pair with the drain's Acquire load and AcqRel swap.
+        let (word, bit) = (&node.occupied[from / 64], 1 << (from % 64));
+        if word.load(Ordering::Acquire) & bit == 0 {
+            node.pending.fetch_add(1, Ordering::AcqRel);
+            if word.fetch_or(bit, Ordering::AcqRel) & bit != 0 {
+                node.pending.fetch_sub(1, Ordering::AcqRel);
+            }
+        }
         done
     }
 
-    /// Drains every bin of node `to`, returning `(from, page)` pairs.
+    /// Drains the occupied bins of node `to`, returning `(from, page)`
+    /// pairs in ascending sender order, FIFO within a sender. With nothing
+    /// pending this is one load.
     ///
-    /// Multiple local processors may drain concurrently (the queues are
-    /// lock-free); each notice is delivered to exactly one drainer.
+    /// A notice whose [`post`](Self::post) has returned is delivered by the
+    /// next drain that starts afterwards, or by one already under way: the
+    /// drain zeroes an occupancy word *before* popping the bins it named,
+    /// so a bit set behind its back survives for the next drain, and the
+    /// poster sets the bit only *after* its push, so a bit never names a
+    /// notice that is not yet there. Concurrent drains are safe (each notice
+    /// goes to exactly one of them); the engine serializes them per node.
     pub fn drain(&self, to: usize) -> Vec<(usize, u32)> {
         let node = &self.nodes[to];
-        let mut out = Vec::new();
-        for (from, bin) in node.bins.iter().enumerate() {
-            while let Some(page) = bin.pop() {
-                out.push((from, page));
-            }
+        if node.pending.load(Ordering::Acquire) == 0 {
+            return Vec::new();
         }
-        // Consumer: emit after the pops.
+        let mut out = Vec::new();
+        let mut swapped = 0;
+        for (w, word) in node.occupied.iter().enumerate() {
+            if word.load(Ordering::Acquire) == 0 {
+                continue;
+            }
+            let set = word.swap(0, Ordering::AcqRel);
+            swapped += u64::from(set.count_ones());
+            node.pop_bins(w, set, &mut out);
+        }
+        node.pending.fetch_sub(swapped, Ordering::AcqRel);
+        self.delivered(to, out)
+    }
+
+    /// A deliberately wrong `drain` kept for the model checker's mutation
+    /// battery (DESIGN.md §11): it clears the occupancy bits *after* popping
+    /// the bins. A post that lands between the last pop and the clear has
+    /// its bit wiped with its notice still in the bin, and no later drain
+    /// looks there again.
+    #[doc(hidden)]
+    pub fn drain_mutant_clear_after_pop(&self, to: usize) -> Vec<(usize, u32)> {
+        let node = &self.nodes[to];
+        let mut out = Vec::new();
+        for (w, word) in node.occupied.iter().enumerate() {
+            let set = word.load(Ordering::Acquire);
+            node.pop_bins(w, set, &mut out);
+            let cleared = word.swap(0, Ordering::AcqRel);
+            node.pending
+                .fetch_sub(u64::from(cleared.count_ones()), Ordering::AcqRel);
+        }
+        self.delivered(to, out)
+    }
+
+    /// Emits a drain's consumer event (after the pops).
+    fn delivered(&self, to: usize, out: Vec<(usize, u32)>) -> Vec<(usize, u32)> {
         if !out.is_empty() {
             emit(&self.rec, || ProtocolEvent::WnDrain {
                 to,
@@ -123,7 +210,10 @@ impl NoticeBoard {
         out
     }
 
-    /// Whether node `to` currently has any pending notices.
+    /// Whether node `to` currently has any pending notices. Never `true`
+    /// while a notice whose post has returned is still in its bin (the
+    /// count rises before the bit does and falls only after the pops),
+    /// whatever a concurrent drain has done to the occupancy bits.
     ///
     /// Protocol-load-bearing: the exclusive-mode entry gate in
     /// `Engine::try_enter_exclusive` refuses entry while notices are
@@ -133,7 +223,7 @@ impl NoticeBoard {
     /// ruled out by the gate's placement after its directory validation
     /// read (see the comment there).
     pub fn is_empty(&self, to: usize) -> bool {
-        self.nodes[to].bins.iter().all(|b| b.is_empty())
+        self.nodes[to].pending.load(Ordering::Acquire) == 0
     }
 }
 
@@ -156,6 +246,10 @@ impl NoticeBoard {
 /// the bitmap clear keeps inserts atomic with respect to drains (an insert
 /// holds its stripe lock across its `fetch_or` and push), preserving the
 /// exactly-once queuing invariant.
+///
+/// **Empty drains take no lock:** a flag that is up while any stripe holds
+/// an entry, written only under a stripe lock, lets a drain with nothing
+/// queued return after one load.
 pub struct ProcNoticeList {
     /// Shared freshness bitmap; bit set ⟺ page currently queued. The
     /// [`ModelAtomicU64`] wrapper routes every access through the model
@@ -164,6 +258,9 @@ pub struct ProcNoticeList {
     bits: Vec<ModelAtomicU64>,
     /// `stripes[from]` is appended only by posting processor `from`.
     stripes: Vec<Mutex<Vec<(u64, u32)>>>,
+    /// Up ⟺ some stripe holds an entry: raised with a claim inside the
+    /// claimer's stripe lock, lowered by a drain holding every stripe lock.
+    queued: ModelAtomicBool,
     /// Post-order tickets for the drain merge.
     ticket: ModelAtomicU64,
     /// `(pnode, lproc)` identity plus the auditor stream, when enabled.
@@ -181,6 +278,7 @@ impl ProcNoticeList {
             stripes: (0..posters.max(1))
                 .map(|_| Mutex::new(Vec::new()))
                 .collect(),
+            queued: ModelAtomicBool::new(false),
             ticket: ModelAtomicU64::new(0),
             ident: None,
         }
@@ -193,16 +291,27 @@ impl ProcNoticeList {
         self
     }
 
+    /// Claims `page` in the bitmap and flags the list as holding entries;
+    /// `true` if the claim is fresh. The flag's Release store pairs with
+    /// the Acquire load on the empty-drain path.
+    fn claim(&self, page: u32) -> bool {
+        let (w, b) = (page as usize / 64, page as usize % 64);
+        let fresh = self.bits[w].fetch_or(1 << b, Ordering::AcqRel) >> b & 1 == 0;
+        if fresh && !self.queued.load(Ordering::Acquire) {
+            self.queued.store(true, Ordering::Release);
+        }
+        fresh
+    }
+
     /// Inserts a notice for `page`, posted by local processor `from`.
     /// Returns `true` if the page was newly queued, `false` if the bitmap
     /// already recorded it (the redundant-notice suppression of §2.3).
     pub fn insert(&self, page: u32, from: usize) -> bool {
         let mut stripe = self.stripes[from].lock();
-        let (w, b) = (page as usize / 64, page as usize % 64);
         // The stripe lock is held across the claim and the push, so a
-        // drain (which holds every stripe lock while clearing the bitmap)
-        // can never observe a claimed-but-unqueued page.
-        let fresh = self.bits[w].fetch_or(1 << b, Ordering::AcqRel) >> b & 1 == 0;
+        // drain (which holds every stripe lock while clearing the bitmap
+        // and the flag) can never observe a claimed-but-unqueued page.
+        let fresh = self.claim(page);
         // Emitted inside the stripe lock so inserts and drains of the same
         // list are sequenced consistently with their real order.
         if let Some((pnode, lproc, rec)) = &self.ident {
@@ -233,9 +342,7 @@ impl ProcNoticeList {
     /// explorer finds such a schedule within the default budget.
     #[doc(hidden)]
     pub fn insert_mutant_claim_outside_stripe_lock(&self, page: u32, from: usize) -> bool {
-        let (w, b) = (page as usize / 64, page as usize % 64);
-        let fresh = self.bits[w].fetch_or(1 << b, Ordering::AcqRel) >> b & 1 == 0;
-        if !fresh {
+        if !self.claim(page) {
             return false;
         }
         let mut stripe = self.stripes[from].lock();
@@ -247,8 +354,13 @@ impl ProcNoticeList {
     }
 
     /// Flushes every stripe and clears the bitmap, returning the queued
-    /// pages merged into post order.
+    /// pages merged into post order. With nothing queued this is one load:
+    /// an insert that has returned raised the flag under its stripe lock,
+    /// and only a drain that took its entry lowers it again.
     pub fn drain(&self) -> Vec<u32> {
+        if self.is_empty() {
+            return Vec::new();
+        }
         let mut guards: Vec<_> = self.stripes.iter().map(|s| s.lock()).collect();
         let mut entries: Vec<(u64, u32)> = Vec::new();
         for g in &mut guards {
@@ -257,6 +369,7 @@ impl ProcNoticeList {
         for w in &self.bits {
             w.store(0, Ordering::Release);
         }
+        self.queued.store(false, Ordering::Release);
         // Stripes are individually FIFO, so sorting by ticket is the k-way
         // merge restoring global post order.
         entries.sort_unstable_by_key(|&(t, _)| t);
@@ -275,46 +388,67 @@ impl ProcNoticeList {
 
     /// Whether the list is empty (no page currently queued in any stripe).
     pub fn is_empty(&self) -> bool {
-        self.bits.iter().all(|w| w.load(Ordering::Acquire) == 0)
+        !self.queued.load(Ordering::Acquire)
     }
 }
 
 /// A processor's no-longer-exclusive (NLE) list: pages broken out of
 /// exclusive mode by a remote request while this processor held a write
 /// mapping (§2.3, §2.4.1). Writable by *any* processor in the cluster (the
-/// breaker posts on behalf of the holder), so it is striped per posting
-/// processor like [`ProcNoticeList`]. No tickets are needed: the only
-/// drain site merges NLE pages into the release's dirty-page list and
-/// sorts + dedups the union, so any deterministic stripe order is
-/// equivalent — stripes are concatenated in poster-index order.
+/// breaker posts on behalf of the holder), but only on exclusive-mode
+/// breaks, and its one drain site merges the pages into the release's
+/// dirty-page list and sorts + dedups the union — so one queue serves every
+/// poster, in any order, and a pending flag keeps the release that finds
+/// nothing (nearly all of them) off the lock.
 pub struct NleList {
-    /// `stripes[from]` is appended only by cluster processor `from`.
-    stripes: Vec<Mutex<Vec<u32>>>,
+    queue: Mutex<Vec<u32>>,
+    /// Set ⟺ `queue` is non-empty. Written only under the queue lock — a
+    /// push stores it after its push — so a drain that reads it clear
+    /// without the lock has missed no push that has returned.
+    pending: ModelAtomicBool,
+    /// How many cluster processors may post (bounds `push`'s `from`).
+    posters: usize,
 }
 
 impl NleList {
-    /// Creates an empty list striped for `posters` cluster processors.
+    /// Creates an empty list that `posters` cluster processors may post to.
     pub fn new(posters: usize) -> Self {
         Self {
-            stripes: (0..posters.max(1))
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
+            queue: Mutex::new(Vec::new()),
+            pending: ModelAtomicBool::new(false),
+            posters: posters.max(1),
         }
     }
 
     /// Adds `page`, posted by cluster processor `from` (duplicates are
     /// tolerated; releases handle them).
     pub fn push(&self, page: u32, from: usize) {
-        self.stripes[from].lock().push(page);
+        debug_assert!(from < self.posters, "poster {from} out of range");
+        let mut q = self.queue.lock();
+        q.push(page);
+        self.pending.store(true, Ordering::Release);
     }
 
-    /// Takes all pending entries, stripe by stripe in poster order.
+    /// A deliberately wrong `push` kept for the model checker's mutation
+    /// battery (DESIGN.md §11): it raises the pending flag *before* taking
+    /// the lock and pushing. A drain in between finds the queue empty and
+    /// lowers the flag, and the page then sits behind a clear flag where no
+    /// later drain looks.
+    #[doc(hidden)]
+    pub fn push_mutant_flag_before_push(&self, page: u32) {
+        self.pending.store(true, Ordering::Release);
+        self.queue.lock().push(page);
+    }
+
+    /// Takes all pending entries, in push order. With nothing pending this
+    /// is one load.
     pub fn drain(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        for s in &self.stripes {
-            out.append(&mut s.lock());
+        if !self.pending.load(Ordering::Acquire) {
+            return Vec::new();
         }
-        out
+        let mut q = self.queue.lock();
+        self.pending.store(false, Ordering::Release);
+        std::mem::take(&mut *q)
     }
 }
 
@@ -438,37 +572,24 @@ mod tests {
     #[test]
     fn nle_list_accumulates() {
         let n = NleList::new(2);
+        assert!(n.drain().is_empty());
         n.push(1, 0);
         n.push(2, 1);
         n.push(3, 0);
-        assert_eq!(n.drain(), vec![1, 3, 2], "stripes concatenated in order");
+        let mut got = n.drain();
+        got.sort_unstable();
+        assert_eq!(got, vec![1, 2, 3], "every poster's pages, once each");
         assert!(n.drain().is_empty());
+        // The flag is lowered by the drain and raised again by a push.
+        n.push(4, 1);
+        assert_eq!(n.drain(), vec![4]);
     }
 
     #[test]
-    fn nle_stripes_do_not_lose_concurrent_posts() {
-        use std::sync::Arc;
-        let n = Arc::new(NleList::new(3));
-        let hs: Vec<_> = (0..3usize)
-            .map(|from| {
-                let n = Arc::clone(&n);
-                cashmere_model::thread::spawn(move || {
-                    for i in 0..400u32 {
-                        n.push(from as u32 * 1000 + i, from);
-                    }
-                })
-            })
-            .collect();
-        for h in hs {
-            h.join();
-        }
-        let mut got = n.drain();
-        got.sort_unstable();
-        let mut want: Vec<u32> = (0..3u32)
-            .flat_map(|f| (0..400).map(move |i| f * 1000 + i))
-            .collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
+    fn nle_list_keeps_posts_racing_a_drainer() {
+        // OS-thread run of the shared scenario; `tests/model_notice.rs`
+        // explores it and catches the flag-before-push mutant.
+        crate::model_scenarios::nle_pending_flag(3, 400, 200, false);
     }
 
     #[test]
@@ -486,6 +607,34 @@ mod tests {
             .map(|(_, p)| p)
             .collect();
         assert_eq!(from_one, vec![9, 3, 7, 3], "per-bin FIFO violated");
+    }
+
+    #[test]
+    fn drain_order_is_ascending_sender_whatever_order_bits_were_set() {
+        // 130 senders span three occupancy words; posts arrive in an order
+        // unrelated to sender index, and one sender posts twice around the
+        // others. The drain must read like a scan of every bin in sender
+        // order (what the pre-summary drain did), FIFO within a sender.
+        let b = NoticeBoard::new(130, DirectoryMode::LockFree, 0);
+        for (from, page) in [(129, 1), (64, 2), (3, 3), (65, 4), (0, 5), (64, 6), (3, 7)] {
+            b.post(7, from, page, 0);
+        }
+        assert_eq!(
+            b.drain(7),
+            vec![(0, 5), (3, 3), (3, 7), (64, 2), (64, 6), (65, 4), (129, 1)]
+        );
+        assert!(b.is_empty(7));
+        assert!(b.drain(7).is_empty());
+        // Other destinations were never touched.
+        assert!(b.is_empty(0) && b.drain(0).is_empty());
+    }
+
+    #[test]
+    fn posts_racing_one_drainer_are_never_stranded() {
+        // OS-thread run of the shared summary scenario (a post landing
+        // between a drain's swap and its pops included); the model variant
+        // explores it and catches the clear-after-pop mutant.
+        crate::model_scenarios::notice_summary_exactly_once(4, 3, 500, 2000, false);
     }
 
     #[test]

@@ -132,3 +132,48 @@ fn det_scheduler_steady_state_is_allocation_free() {
         "det steady state allocated"
     );
 }
+
+/// Barriers and lock pairs on a cluster that shares no data: every release
+/// finds no dirty page and an empty NLE list, every acquire empty bins and
+/// an empty notice list, so once the carriers' interval lists are reserved
+/// a synchronization must not touch the heap at all.
+fn assert_idle_sync_allocation_free(topology: Topology, pairs: usize) {
+    let cluster =
+        Cluster::new(ClusterConfig::new(topology, ProtocolKind::TwoLevel).with_heap_pages(4));
+    let burst_allocs = AtomicU64::new(0);
+    cluster.run(|p| {
+        // Warm-up: the barrier's and the lock's virtual-time slot lists.
+        p.barrier(0);
+        p.lock(0);
+        p.unlock(0);
+        p.barrier(0);
+        let before = allocs();
+        for _ in 0..pairs {
+            p.barrier(0);
+            p.lock(0);
+            p.unlock(0);
+        }
+        burst_allocs.fetch_add(allocs() - before, Ordering::SeqCst);
+    });
+    let procs = topology.total_procs() as u64;
+    assert_eq!(
+        cluster.engine().counters().lock_acquires,
+        procs * (pairs as u64 + 1),
+        "every processor took every pair"
+    );
+    assert_eq!(
+        burst_allocs.load(Ordering::SeqCst),
+        0,
+        "idle synchronization allocated on {topology:?}"
+    );
+}
+
+#[test]
+fn idle_sync_is_allocation_free_on_2x2() {
+    assert_idle_sync_allocation_free(Topology::new(2, 2), 200);
+}
+
+#[test]
+fn idle_sync_is_allocation_free_on_64x16() {
+    assert_idle_sync_allocation_free(Topology::new(64, 16), 3);
+}

@@ -7,7 +7,7 @@
 //! replays it deterministically from the printed seed.
 
 use cashmere_core::model_scenarios as sc;
-use cashmere_model::{expect_violation, explore, replay, ModelConfig};
+use cashmere_model::{expect_violation, explore, replay, try_explore, ModelConfig};
 
 #[test]
 fn model_notice_striped_posts_deliver_exactly_once() {
@@ -50,4 +50,97 @@ fn model_notice_mutant_claim_outside_stripe_lock_is_caught() {
     .expect_err("failing schedule must replay deterministically");
     assert_eq!(again.message, v.message);
     assert_eq!(again.steps, v.steps);
+}
+
+/// The budget the summary scenarios run under: the default one with the
+/// partial-order skip off. The skip looks only at each thread's *next*
+/// operation, and the windows these scenarios are about lie between two
+/// operations of one thread on different locations (a drain's swap of the
+/// occupancy word and its pops of a bin; a push and its flag store), with
+/// the other thread's next operation on a third — a pair the skip calls
+/// commuting and never splits.
+fn every_window() -> ModelConfig {
+    ModelConfig {
+        por: false,
+        ..ModelConfig::default()
+    }
+}
+
+/// Explores `scenario` and asserts no schedule truncated (posts, pushes and
+/// drains are loop-free).
+fn explores_clean(name: &str, scenario: impl Fn() + Sync) {
+    let explored =
+        try_explore(name, &every_window(), scenario).unwrap_or_else(|v| panic!("{name}: {v}"));
+    assert_eq!(explored.truncated, 0, "{name}: schedules must not truncate");
+    assert!(explored.schedules > 0);
+}
+
+/// Asserts the mutant `scenario` fails within the default schedule budget
+/// with a message containing one of `expect`, and that the printed (seed,
+/// bound) replays the exact failure.
+fn mutant_is_caught_and_replays(name: &str, expect: &[&str], scenario: impl Fn() + Sync) {
+    let cfg = every_window();
+    let v = expect_violation(name, &cfg, &scenario);
+    assert!(
+        expect.iter().any(|e| v.message.contains(e)),
+        "unexpected failure mode: {}",
+        v.message
+    );
+    let again = replay(&cfg, v.seed, v.bound, &scenario)
+        .expect_err("failing schedule must replay deterministically");
+    assert_eq!(again.message, v.message);
+    assert_eq!(again.steps, v.steps);
+}
+
+#[test]
+fn model_notice_summary_delivers_exactly_once_and_strands_nothing() {
+    explores_clean("notice-summary-exactly-once", || {
+        sc::notice_summary_exactly_once(2, 2, 2, 2, false);
+    });
+}
+
+#[test]
+fn model_notice_post_between_swap_and_pop_is_delivered_once() {
+    // One sender, one drain under way, one drain after: the second post can
+    // land anywhere inside the first drain, including between its swap of
+    // the occupancy word and its pops. It must come out exactly once — of
+    // that drain or of the next.
+    explores_clean("notice-summary-post-mid-drain", || {
+        sc::notice_summary_exactly_once(1, 1, 2, 1, false);
+    });
+}
+
+#[test]
+fn model_notice_siblings_sharing_a_bin_keep_the_count_sound() {
+    // Two processors of one sender node race for the same occupancy bit:
+    // the loser counts itself back out, and `is_empty` must stay false
+    // until the winner's bit has been swapped and the bin popped.
+    explores_clean("notice-summary-sibling-posters", || {
+        sc::notice_summary_exactly_once(2, 1, 1, 2, false);
+    });
+}
+
+#[test]
+fn model_notice_mutant_clear_after_pop_is_caught() {
+    mutant_is_caught_and_replays(
+        "notice-mutant-clear-after-pop",
+        &["stranded", "exactly once", "is_empty held"],
+        || sc::notice_summary_exactly_once(1, 1, 2, 1, true),
+    );
+}
+
+#[test]
+fn model_nle_pending_flag_strands_nothing() {
+    explores_clean("nle-pending-flag", || {
+        sc::nle_pending_flag(2, 2, 2, false);
+    });
+}
+
+#[test]
+fn model_nle_mutant_flag_before_push_is_caught() {
+    mutant_is_caught_and_replays(
+        "nle-mutant-flag-before-push",
+        &["stranded", "exactly once"],
+        || sc::nle_pending_flag(1, 2, 1, true),
+    );
 }

@@ -101,6 +101,13 @@ macro_rules! model_fetch_ops {
                 self.inner.fetch_add(val, order)
             }
 
+            /// Atomic subtract, returning the previous value.
+            #[inline]
+            pub fn fetch_sub(&self, val: $prim, order: Ordering) -> $prim {
+                self.hook(OpKind::Rmw);
+                self.inner.fetch_sub(val, order)
+            }
+
             /// Atomic bitwise or, returning the previous value.
             #[inline]
             pub fn fetch_or(&self, val: $prim, order: Ordering) -> $prim {
