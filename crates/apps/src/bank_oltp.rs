@@ -17,7 +17,7 @@
 //! baseline comparison in the bench harnesses re-checks conservation under
 //! every protocol, topology, and fault schedule.
 
-use cashmere_core::{Cluster, ClusterConfig};
+use cashmere_core::{Cluster, RunSpec, SyncSpec};
 use cashmere_workload::{KeyMap, Trace, WorkloadSpec};
 
 use crate::util::{chunk_range, ArrU64};
@@ -108,11 +108,13 @@ impl Benchmark for BankOltp {
         3 // lock interleavings make the timing nondeterministic
     }
 
-    fn configure(&self, cfg: &mut ClusterConfig) {
+    fn configure(&self, cfg: &mut RunSpec) {
         cfg.heap_pages = self.spec.keys.div_ceil(cashmere_core::PAGE_WORDS) + 2;
-        cfg.locks = self.spec.keys; // one per account
-        cfg.barriers = 2 * self.rounds + 1;
-        cfg.flags = 0;
+        cfg.sync = SyncSpec {
+            locks: self.spec.keys, // one per account
+            barriers: 2 * self.rounds + 1,
+            flags: 0,
+        };
         cfg.bus_bytes_per_access = 4;
         cfg.poll_fraction = 0.05;
     }
@@ -209,7 +211,7 @@ mod tests {
     fn ledger_is_conserved_under_every_protocol() {
         let app = BankOltp::new(Scale::Test);
         for protocol in ProtocolKind::PAPER_FOUR {
-            let out = run_app(&app, ClusterConfig::new(Topology::new(2, 2), protocol));
+            let out = run_app(&app, &RunSpec::new(Topology::new(2, 2), protocol)).0;
             assert_eq!(out.checksum, app.expected_total(), "{}", protocol.label());
         }
     }
@@ -219,8 +221,9 @@ mod tests {
         let app = BankOltp::new(Scale::Test);
         let out = run_app(
             &app,
-            ClusterConfig::new(Topology::new(1, 1), ProtocolKind::OneLevelDiff),
-        );
+            &RunSpec::new(Topology::new(1, 1), ProtocolKind::OneLevelDiff),
+        )
+        .0;
         assert_eq!(out.checksum, app.expected_total());
     }
 

@@ -15,7 +15,7 @@
 //! in batches from a lock-protected shared work counter (the dynamic load
 //! balancing).
 
-use cashmere_core::{Cluster, ClusterConfig, Proc};
+use cashmere_core::{Cluster, Proc, RunSpec, SyncSpec};
 
 use crate::util::{chunk_range, ArrF64, ArrU64, XorShift};
 use crate::{AppOutcome, Benchmark, Scale};
@@ -266,13 +266,15 @@ impl Benchmark for Barnes {
         )
     }
 
-    fn configure(&self, cfg: &mut ClusterConfig) {
+    fn configure(&self, cfg: &mut RunSpec) {
         let n = self.bodies;
         let words = 3 * n * 3 + n + self.max_cells() * (CELL_F + CELL_C) + 16;
         cfg.heap_pages = words.div_ceil(cashmere_core::PAGE_WORDS) + 8;
-        cfg.locks = 1;
-        cfg.barriers = 4;
-        cfg.flags = 0;
+        cfg.sync = SyncSpec {
+            locks: 1,
+            barriers: 4,
+            flags: 0,
+        };
         cfg.bus_bytes_per_access = 3;
         cfg.poll_fraction = 0.15;
     }
@@ -371,10 +373,11 @@ mod tests {
         let app = Barnes::new(Scale::Test);
         let seq = run_app(
             &app,
-            ClusterConfig::new(Topology::new(1, 1), ProtocolKind::TwoLevel),
-        );
+            &RunSpec::new(Topology::new(1, 1), ProtocolKind::TwoLevel),
+        )
+        .0;
         for protocol in ProtocolKind::PAPER_FOUR {
-            let par = run_app(&app, ClusterConfig::new(Topology::new(2, 2), protocol));
+            let par = run_app(&app, &RunSpec::new(Topology::new(2, 2), protocol)).0;
             assert_eq!(par.checksum, seq.checksum, "{}", protocol.label());
         }
     }
@@ -382,7 +385,7 @@ mod tests {
     #[test]
     fn barnes_bodies_actually_move() {
         let app = Barnes::new(Scale::Test);
-        let mut cfg = ClusterConfig::new(Topology::new(2, 1), ProtocolKind::TwoLevel);
+        let mut cfg = RunSpec::new(Topology::new(2, 1), ProtocolKind::TwoLevel);
         app.configure(&mut cfg);
         let mut cluster = Cluster::new(cfg);
         // Re-derive the initial positions to compare against.

@@ -10,7 +10,7 @@
 //! locality pays off (22% at 32 processors) and where the home-node
 //! optimization recovers most of the one-level gap.
 
-use cashmere_core::{Cluster, ClusterConfig};
+use cashmere_core::{Cluster, RunSpec, SyncSpec};
 
 use crate::util::{chunk_range, ArrF64, XorShift};
 use crate::{AppOutcome, Benchmark, Scale};
@@ -98,12 +98,14 @@ impl Benchmark for Em3d {
         )
     }
 
-    fn configure(&self, cfg: &mut ClusterConfig) {
+    fn configure(&self, cfg: &mut RunSpec) {
         let words = 2 * self.nodes * (1 + self.degree + self.degree);
         cfg.heap_pages = words.div_ceil(cashmere_core::PAGE_WORDS) + 6;
-        cfg.locks = 1;
-        cfg.barriers = 2;
-        cfg.flags = 0;
+        cfg.sync = SyncSpec {
+            locks: 1,
+            barriers: 2,
+            flags: 0,
+        };
         cfg.bus_bytes_per_access = 4;
         cfg.poll_fraction = 0.12;
     }
@@ -186,15 +188,16 @@ mod tests {
         let app = Em3d::new(Scale::Test);
         let base = run_app(
             &app,
-            ClusterConfig::new(Topology::new(4, 1), ProtocolKind::TwoLevel),
-        );
+            &RunSpec::new(Topology::new(4, 1), ProtocolKind::TwoLevel),
+        )
+        .0;
         for protocol in [
             ProtocolKind::TwoLevelShootdown,
             ProtocolKind::OneLevelDiff,
             ProtocolKind::OneLevelWrite,
             ProtocolKind::OneLevelDiffHome,
         ] {
-            let par = run_app(&app, ClusterConfig::new(Topology::new(2, 2), protocol));
+            let par = run_app(&app, &RunSpec::new(Topology::new(2, 2), protocol)).0;
             assert_eq!(par.checksum, base.checksum, "{}", protocol.label());
         }
     }

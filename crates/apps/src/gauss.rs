@@ -11,7 +11,7 @@
 //! for Gauss. Like SOR, the data set exceeds the caches, so bus traffic is
 //! high and clustering is negative.
 
-use cashmere_core::{Cluster, ClusterConfig};
+use cashmere_core::{Cluster, RunSpec, SyncSpec};
 
 use crate::util::{ArrF64, XorShift};
 use crate::{AppOutcome, Benchmark, Scale};
@@ -47,12 +47,14 @@ impl Benchmark for Gauss {
         format!("{0}x{0} system", self.n)
     }
 
-    fn configure(&self, cfg: &mut ClusterConfig) {
+    fn configure(&self, cfg: &mut RunSpec) {
         let words = self.n * (self.n + 1) + self.n; // A|b augmented + x
         cfg.heap_pages = words.div_ceil(cashmere_core::PAGE_WORDS) + 4;
-        cfg.locks = 1;
-        cfg.barriers = 2;
-        cfg.flags = self.n; // one readiness flag per pivot row
+        cfg.sync = SyncSpec {
+            locks: 1,
+            barriers: 2,
+            flags: self.n, // one readiness flag per pivot row
+        };
         cfg.bus_bytes_per_access = 16;
         cfg.poll_fraction = 0.05;
     }
@@ -152,10 +154,11 @@ mod tests {
         let app = Gauss::new(Scale::Test);
         let seq = run_app(
             &app,
-            ClusterConfig::new(Topology::new(1, 1), ProtocolKind::TwoLevel),
-        );
+            &RunSpec::new(Topology::new(1, 1), ProtocolKind::TwoLevel),
+        )
+        .0;
         for protocol in ProtocolKind::PAPER_FOUR {
-            let par = run_app(&app, ClusterConfig::new(Topology::new(2, 2), protocol));
+            let par = run_app(&app, &RunSpec::new(Topology::new(2, 2), protocol)).0;
             assert_eq!(par.checksum, seq.checksum, "{}", protocol.label());
         }
     }
@@ -176,17 +179,18 @@ mod tests {
             }
             orig_b[i] = rng.unit_f64() * n as f64;
         }
-        let mut cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel);
-        app.configure(&mut cfg);
-        let mut cluster = Cluster::new(cfg);
-        let out = app.execute(&mut cluster);
+        let out = run_app(
+            &app,
+            &RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel),
+        )
+        .0;
         assert_ne!(out.checksum, 0);
         // Recover x from the cluster: it is the second allocation; re-run
         // execute's layout by allocating identically is fragile, so instead
         // check the residual via the checksummed x values read back through
         // a fresh sequential solve.
-        let seq_cfg = ClusterConfig::new(Topology::new(1, 1), ProtocolKind::TwoLevel);
-        let seq = run_app(&app, seq_cfg);
+        let seq_cfg = RunSpec::new(Topology::new(1, 1), ProtocolKind::TwoLevel);
+        let seq = run_app(&app, &seq_cfg).0;
         assert_eq!(
             out.checksum, seq.checksum,
             "parallel solution equals sequential"

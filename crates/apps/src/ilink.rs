@@ -22,7 +22,7 @@
 //! The one-to-all / all-to-one pattern is what gives Ilink its 40%
 //! two-level win in the paper (fetch coalescing within a node).
 
-use cashmere_core::{Cluster, ClusterConfig};
+use cashmere_core::{Cluster, RunSpec, SyncSpec};
 
 use crate::util::{ArrF64, ArrU64, XorShift};
 use crate::{AppOutcome, Benchmark, Scale};
@@ -77,12 +77,14 @@ impl Benchmark for Ilink {
         )
     }
 
-    fn configure(&self, cfg: &mut ClusterConfig) {
+    fn configure(&self, cfg: &mut RunSpec) {
         let words = self.nonzeros * 2 + self.params + 64 * cashmere_core::PAGE_WORDS + 64;
         cfg.heap_pages = words.div_ceil(cashmere_core::PAGE_WORDS) + 6;
-        cfg.locks = 1;
-        cfg.barriers = 2;
-        cfg.flags = 0;
+        cfg.sync = SyncSpec {
+            locks: 1,
+            barriers: 2,
+            flags: 0,
+        };
         cfg.bus_bytes_per_access = 3;
         cfg.poll_fraction = 0.10;
     }
@@ -181,10 +183,11 @@ mod tests {
         let app = Ilink::new(Scale::Test);
         let base = run_app(
             &app,
-            ClusterConfig::new(Topology::new(4, 1), ProtocolKind::TwoLevel),
-        );
+            &RunSpec::new(Topology::new(4, 1), ProtocolKind::TwoLevel),
+        )
+        .0;
         for protocol in ProtocolKind::PAPER_FOUR {
-            let par = run_app(&app, ClusterConfig::new(Topology::new(2, 2), protocol));
+            let par = run_app(&app, &RunSpec::new(Topology::new(2, 2), protocol)).0;
             assert_eq!(par.checksum, base.checksum, "{}", protocol.label());
         }
     }
@@ -194,12 +197,14 @@ mod tests {
         let app = Ilink::new(Scale::Test);
         let seq = run_app(
             &app,
-            ClusterConfig::new(Topology::new(1, 1), ProtocolKind::TwoLevel),
-        );
+            &RunSpec::new(Topology::new(1, 1), ProtocolKind::TwoLevel),
+        )
+        .0;
         let par = run_app(
             &app,
-            ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel),
-        );
+            &RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel),
+        )
+        .0;
         // Same quantized likelihood (the sum regroups across widths; the
         // 1e-9 quantization absorbs that).
         assert_eq!(seq.checksum, par.checksum);

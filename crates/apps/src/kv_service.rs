@@ -26,7 +26,7 @@
 //! page, so unrelated keys share pages and the skewed write traffic
 //! exercises false sharing.
 
-use cashmere_core::{Cluster, ClusterConfig};
+use cashmere_core::{Cluster, RunSpec, SyncSpec};
 use cashmere_workload::{KeyMap, OpKind, Trace, WorkloadSpec};
 
 use crate::util::{checksum_slice, ArrU64};
@@ -148,12 +148,14 @@ impl Benchmark for KvService {
         3 // shard-lock interleavings make the timing nondeterministic
     }
 
-    fn configure(&self, cfg: &mut ClusterConfig) {
+    fn configure(&self, cfg: &mut RunSpec) {
         let words = self.spec.keys * self.value_words + self.spec.keys;
         cfg.heap_pages = words.div_ceil(cashmere_core::PAGE_WORDS) + 2;
-        cfg.locks = self.shards;
-        cfg.barriers = 2;
-        cfg.flags = 0;
+        cfg.sync = SyncSpec {
+            locks: self.shards,
+            barriers: 2,
+            flags: 0,
+        };
         cfg.bus_bytes_per_access = 4;
         cfg.poll_fraction = 0.05;
     }
@@ -239,7 +241,7 @@ mod tests {
         let app = KvService::new(Scale::Test);
         let want = app.expected_checksum();
         for protocol in ProtocolKind::PAPER_FOUR {
-            let out = run_app(&app, ClusterConfig::new(Topology::new(2, 2), protocol));
+            let out = run_app(&app, &RunSpec::new(Topology::new(2, 2), protocol)).0;
             assert_eq!(out.checksum, want, "{}", protocol.label());
         }
     }
@@ -249,8 +251,9 @@ mod tests {
         let app = KvService::new(Scale::Test);
         let out = run_app(
             &app,
-            ClusterConfig::new(Topology::new(1, 1), ProtocolKind::OneLevelDiff),
-        );
+            &RunSpec::new(Topology::new(1, 1), ProtocolKind::OneLevelDiff),
+        )
+        .0;
         assert_eq!(out.checksum, app.expected_checksum());
     }
 
@@ -270,8 +273,9 @@ mod tests {
         app.spec.ops = 2_000;
         let out = run_app(
             &app,
-            ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel),
-        );
+            &RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel),
+        )
+        .0;
         assert_eq!(out.checksum, app.expected_checksum());
     }
 }

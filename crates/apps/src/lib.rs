@@ -50,7 +50,7 @@ pub use sor::Sor;
 pub use tsp::Tsp;
 pub use water::Water;
 
-use cashmere_core::{Cluster, ClusterConfig, Report};
+use cashmere_core::{Cluster, Report, RunSpec};
 
 /// Outcome of one application run: the protocol [`Report`] plus a checksum
 /// of the application's final shared state.
@@ -87,9 +87,12 @@ pub trait Benchmark: Sync {
         1
     }
 
-    /// Adjusts `cfg` for this application: heap pages, lock/barrier/flag
-    /// pools, polling-overhead fraction, and memory-bus intensity.
-    fn configure(&self, cfg: &mut ClusterConfig);
+    /// Declares this application's demands on `spec`: heap pages,
+    /// lock/barrier/flag pools, polling-overhead fraction, and memory-bus
+    /// intensity — and nothing else (the deployment is the experimenter's;
+    /// `configure_sets_only_the_applications_own_fields` holds every app to
+    /// that).
+    fn configure(&self, spec: &mut RunSpec);
 
     /// Seeds shared data, runs the parallel program on `cluster`, and
     /// returns the report plus result checksum.
@@ -131,10 +134,65 @@ pub enum Scale {
     Bench,
 }
 
-/// Runs `bench` under `cfg` (after per-app configuration) and returns the
-/// outcome.
-pub fn run_app(bench: &dyn Benchmark, mut cfg: ClusterConfig) -> AppOutcome {
-    bench.configure(&mut cfg);
-    let mut cluster = Cluster::new(cfg);
-    bench.execute(&mut cluster)
+/// Runs `bench` on the cluster `spec` describes once the application's
+/// [`Benchmark::configure`] has sized it. The one way to run an application;
+/// the cluster comes back too, for callers that read the trace or the
+/// engine afterwards.
+pub fn run_app(bench: &dyn Benchmark, spec: &RunSpec) -> (AppOutcome, Cluster) {
+    let mut cluster = spec.build_cluster(|s| bench.configure(s));
+    let outcome = bench.execute(&mut cluster);
+    (outcome, cluster)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cashmere_core::{
+        Backend, DirectoryMode, FaultPlan, Messaging, ProtocolKind, SyncSpec, Topology,
+    };
+    use std::sync::Arc;
+
+    /// The deployment is the experimenter's: on a spec with every
+    /// experimenter-owned field off its default, `configure` may change the
+    /// application's own four fields and nothing else.
+    #[test]
+    fn configure_sets_only_the_applications_own_fields() {
+        let mut spec = RunSpec::new(Topology::new(3, 2), ProtocolKind::OneLevelWriteHome)
+            .with_seed(99)
+            .with_directory(DirectoryMode::GlobalLock)
+            .with_transport(Backend::Cxl)
+            .with_messaging(Messaging::Interrupt)
+            .uninstrumented(true)
+            .with_audit(true)
+            .with_obs(true)
+            .with_faults(Arc::new(FaultPlan::new(5)))
+            .with_det_parallel(3);
+        spec.pages_per_superpage = 4;
+        let apps = suite(Scale::Test)
+            .into_iter()
+            .chain(service_suite(Scale::Test));
+        for app in apps {
+            let mut configured = spec.clone();
+            app.configure(&mut configured);
+            assert!(configured.heap_pages > 0, "{} sizes its heap", app.name());
+            assert_ne!(
+                configured.sync,
+                SyncSpec::default(),
+                "{} sizes its pools",
+                app.name()
+            );
+            // Put the application's fields back; every other field —
+            // whatever the struct grows — must then read as it did.
+            configured.heap_pages = spec.heap_pages;
+            configured.sync = spec.sync;
+            configured.poll_fraction = spec.poll_fraction;
+            configured.bus_bytes_per_access = spec.bus_bytes_per_access;
+            assert_eq!(
+                format!("{configured:?}"),
+                format!("{spec:?}"),
+                "{} touched a field that is not its own",
+                app.name()
+            );
+        }
+    }
 }

@@ -13,7 +13,7 @@
 //! Blocks are stored contiguously (block-major), the SPLASH-2 layout that
 //! avoids false sharing between blocks.
 
-use cashmere_core::{Cluster, ClusterConfig, Proc};
+use cashmere_core::{Cluster, Proc, RunSpec, SyncSpec};
 
 use crate::util::{ArrF64, XorShift};
 use crate::{AppOutcome, Benchmark, Scale};
@@ -162,12 +162,14 @@ impl Benchmark for Lu {
         )
     }
 
-    fn configure(&self, cfg: &mut ClusterConfig) {
+    fn configure(&self, cfg: &mut RunSpec) {
         let words = self.n * self.n;
         cfg.heap_pages = words.div_ceil(cashmere_core::PAGE_WORDS) + 4;
-        cfg.locks = 1;
-        cfg.barriers = 3;
-        cfg.flags = 0;
+        cfg.sync = SyncSpec {
+            locks: 1,
+            barriers: 3,
+            flags: 0,
+        };
         cfg.bus_bytes_per_access = 8;
         cfg.poll_fraction = 0.03;
     }
@@ -239,10 +241,11 @@ mod tests {
         let app = Lu::new(Scale::Test);
         let seq = run_app(
             &app,
-            ClusterConfig::new(Topology::new(1, 1), ProtocolKind::TwoLevel),
-        );
+            &RunSpec::new(Topology::new(1, 1), ProtocolKind::TwoLevel),
+        )
+        .0;
         for protocol in ProtocolKind::PAPER_FOUR {
-            let par = run_app(&app, ClusterConfig::new(Topology::new(2, 2), protocol));
+            let par = run_app(&app, &RunSpec::new(Topology::new(2, 2), protocol)).0;
             assert_eq!(par.checksum, seq.checksum, "{}", protocol.label());
         }
     }
@@ -255,7 +258,7 @@ mod tests {
             block: 8,
             flop_ns: 0,
         };
-        let mut cfg = ClusterConfig::new(Topology::new(1, 1), ProtocolKind::TwoLevel);
+        let mut cfg = RunSpec::new(Topology::new(1, 1), ProtocolKind::TwoLevel);
         app.configure(&mut cfg);
         let mut cluster = Cluster::new(cfg);
 

@@ -9,7 +9,7 @@
 //! capacity-miss traffic on the shared node bus, which the elevated
 //! bus-bytes setting models.
 
-use cashmere_core::{Cluster, ClusterConfig, Proc};
+use cashmere_core::{Cluster, Proc, RunSpec, SyncSpec};
 
 use crate::util::{chunk_range, ArrF64};
 use crate::{AppOutcome, Benchmark, Scale};
@@ -80,12 +80,14 @@ impl Benchmark for Sor {
         )
     }
 
-    fn configure(&self, cfg: &mut ClusterConfig) {
+    fn configure(&self, cfg: &mut RunSpec) {
         let pages = self.grid_words().div_ceil(cashmere_core::PAGE_WORDS) + 4;
         cfg.heap_pages = pages;
-        cfg.locks = 1;
-        cfg.barriers = 2;
-        cfg.flags = 0;
+        cfg.sync = SyncSpec {
+            locks: 1,
+            barriers: 2,
+            flags: 0,
+        };
         // Matrix sweep with a data set exceeding the second-level cache:
         // every access is capacity-miss traffic on the node bus (the
         // paper's negative-clustering driver for SOR).
@@ -131,10 +133,11 @@ mod tests {
         let app = Sor::new(Scale::Test);
         let seq = run_app(
             &app,
-            ClusterConfig::new(Topology::new(1, 1), ProtocolKind::TwoLevel),
-        );
+            &RunSpec::new(Topology::new(1, 1), ProtocolKind::TwoLevel),
+        )
+        .0;
         for protocol in ProtocolKind::PAPER_FOUR {
-            let par = run_app(&app, ClusterConfig::new(Topology::new(2, 2), protocol));
+            let par = run_app(&app, &RunSpec::new(Topology::new(2, 2), protocol)).0;
             assert_eq!(par.checksum, seq.checksum, "{}", protocol.label());
         }
     }
@@ -149,7 +152,7 @@ mod tests {
             iters: 40,
             flop_ns: 0,
         };
-        let mut cfg = ClusterConfig::new(Topology::new(2, 1), ProtocolKind::TwoLevel);
+        let mut cfg = RunSpec::new(Topology::new(2, 1), ProtocolKind::TwoLevel);
         app.configure(&mut cfg);
         let mut cluster = Cluster::new(cfg);
         let grid = ArrF64::alloc(&mut cluster, app.grid_words());

@@ -13,7 +13,7 @@
 //! nondeterministic, but the answer — the optimal tour length — is checked
 //! against exhaustive search in the tests.
 
-use cashmere_core::{Cluster, ClusterConfig, Proc};
+use cashmere_core::{Cluster, Proc, RunSpec, SyncSpec};
 
 use crate::util::{ArrU64, XorShift};
 use crate::{AppOutcome, Benchmark, Scale};
@@ -177,12 +177,14 @@ impl Benchmark for Tsp {
         false
     }
 
-    fn configure(&self, cfg: &mut ClusterConfig) {
+    fn configure(&self, cfg: &mut RunSpec) {
         let words = self.cities * self.cities + 16 + QUEUE_CAP * REC_WORDS;
         cfg.heap_pages = words.div_ceil(cashmere_core::PAGE_WORDS) + 4;
-        cfg.locks = 2;
-        cfg.barriers = 2;
-        cfg.flags = 0;
+        cfg.sync = SyncSpec {
+            locks: 2,
+            barriers: 2,
+            flags: 0,
+        };
         cfg.bus_bytes_per_access = 2;
         cfg.poll_fraction = 0.02; // TSP is the paper's lowest-polling app
     }
@@ -301,7 +303,7 @@ mod tests {
         let optimal = app.brute_force();
         assert_ne!(optimal, u64::MAX);
         for protocol in ProtocolKind::PAPER_FOUR {
-            let out = run_app(&app, ClusterConfig::new(Topology::new(2, 2), protocol));
+            let out = run_app(&app, &RunSpec::new(Topology::new(2, 2), protocol)).0;
             assert_eq!(out.checksum, optimal, "{}", protocol.label());
         }
     }
@@ -311,8 +313,9 @@ mod tests {
         let app = Tsp::new(Scale::Test);
         let out = run_app(
             &app,
-            ClusterConfig::new(Topology::new(1, 1), ProtocolKind::OneLevelDiff),
-        );
+            &RunSpec::new(Topology::new(1, 1), ProtocolKind::OneLevelDiff),
+        )
+        .0;
         assert_eq!(out.checksum, app.brute_force());
     }
 

@@ -15,7 +15,7 @@
 //! accumulation order is nondeterministic, the checksum covers the
 //! *positions* after integration with a tolerance-quantized digest.
 
-use cashmere_core::{Cluster, ClusterConfig};
+use cashmere_core::{Cluster, RunSpec, SyncSpec};
 
 use crate::util::{chunk_range, ArrF64, XorShift};
 use crate::{AppOutcome, Benchmark, Scale};
@@ -62,12 +62,14 @@ impl Benchmark for Water {
         format!("{} molecules, {} steps", self.molecules, self.steps)
     }
 
-    fn configure(&self, cfg: &mut ClusterConfig) {
+    fn configure(&self, cfg: &mut RunSpec) {
         let words = self.molecules * 9 + 16;
         cfg.heap_pages = words.div_ceil(cashmere_core::PAGE_WORDS) + 6;
-        cfg.locks = 64; // one per molecule-chunk owner (see below)
-        cfg.barriers = 4;
-        cfg.flags = 0;
+        cfg.sync = SyncSpec {
+            locks: 64, // one per molecule-chunk owner (see below)
+            barriers: 4,
+            flags: 0,
+        };
         cfg.bus_bytes_per_access = 4;
         cfg.poll_fraction = 0.08;
     }
@@ -205,10 +207,11 @@ mod tests {
         let app = Water::new(Scale::Test);
         let seq = run_app(
             &app,
-            ClusterConfig::new(Topology::new(1, 1), ProtocolKind::TwoLevel),
-        );
+            &RunSpec::new(Topology::new(1, 1), ProtocolKind::TwoLevel),
+        )
+        .0;
         for protocol in ProtocolKind::PAPER_FOUR {
-            let par = run_app(&app, ClusterConfig::new(Topology::new(2, 2), protocol));
+            let par = run_app(&app, &RunSpec::new(Topology::new(2, 2), protocol)).0;
             assert_eq!(par.checksum, seq.checksum, "{}", protocol.label());
         }
     }
@@ -218,8 +221,9 @@ mod tests {
         let app = Water::new(Scale::Test);
         let out = run_app(
             &app,
-            ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel),
-        );
+            &RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel),
+        )
+        .0;
         // Every processor touches roughly every molecule's lock each step.
         assert!(
             out.report.counters.lock_acquires as usize >= app.molecules,

@@ -3,19 +3,18 @@
 //! and checksums no matter how many host workers execute the simulated
 //! processors.
 
-use cashmere_apps::{run_app, Benchmark, KvService, Scale, Sor};
-use cashmere_core::{Cluster, ClusterConfig, ProtocolKind, Topology};
+use cashmere_apps::{run_app, KvService, Scale, Sor};
+use cashmere_core::{ProtocolKind, RunSpec, Topology};
 
 #[test]
 fn kv_service_report_bytes_identical_across_worker_counts() {
     let app = KvService::new(Scale::Test);
     let cfg = |workers| {
-        ClusterConfig::new(Topology::new(2, 2), ProtocolKind::OneLevelDiff)
-            .with_det_parallel(workers)
+        RunSpec::new(Topology::new(2, 2), ProtocolKind::OneLevelDiff).with_det_parallel(workers)
     };
-    let base = run_app(&app, cfg(1));
+    let base = run_app(&app, &cfg(1)).0;
     assert_eq!(base.checksum, app.expected_checksum());
-    let par = run_app(&app, cfg(4));
+    let par = run_app(&app, &cfg(4)).0;
     assert_eq!(
         par.report.to_json(),
         base.report.to_json(),
@@ -35,11 +34,8 @@ fn sor_wakes_are_targeted_and_traffic_is_worker_independent() {
     let app = Sor::new(Scale::Test);
     let topo = Topology::from_paper_config(8, 4).expect("8:4 is a paper shape");
     let traffic = |workers| {
-        let mut cfg = ClusterConfig::new(topo, ProtocolKind::TwoLevel).with_det_parallel(workers);
-        app.configure(&mut cfg);
-        let mut cluster = Cluster::new(cfg);
-        app.execute(&mut cluster);
-        cluster.det_stats()
+        let spec = RunSpec::new(topo, ProtocolKind::TwoLevel).with_det_parallel(workers);
+        run_app(&app, &spec).1.det_stats()
     };
     let base = traffic(1);
     assert!(base.parks > 0 && base.gates > 0 && base.blocks > 0 && base.windows > 0);

@@ -1,6 +1,6 @@
 //! Calibration probe: full breakdown + counters for one app at 32:4.
-use cashmere_apps::{suite, Scale};
-use cashmere_bench::{execute, paper_spec, sequential};
+use cashmere_apps::{run_app, suite, Scale};
+use cashmere_bench::{paper_spec, sequential};
 use cashmere_core::{ProtocolKind, TimeCategory};
 
 fn main() {
@@ -10,7 +10,7 @@ fn main() {
             continue;
         }
         let seq = sequential(app.as_ref());
-        let out = execute(app.as_ref(), &paper_spec(ProtocolKind::TwoLevel, 32, 4));
+        let out = run_app(app.as_ref(), &paper_spec(ProtocolKind::TwoLevel, 32, 4)).0;
         let r = &out.report;
         let pp = |c: TimeCategory| r.breakdown.get(c) as f64 / r.procs as f64 / 1e9;
         println!(

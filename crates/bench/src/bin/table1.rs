@@ -7,11 +7,11 @@
 //! protocol code on a micro-program and differencing virtual time, exactly
 //! as the paper measures two-processor interactions.
 
-use cashmere_core::{Cluster, ClusterConfig, Nanos, ProtocolKind, Topology, PAGE_WORDS};
+use cashmere_core::{Cluster, Nanos, ProtocolKind, RunSpec, Topology, PAGE_WORDS};
 
 /// Measures an uncontended lock acquire+release pair on processor 0.
 fn lock_cost(protocol: ProtocolKind) -> Nanos {
-    let cfg = ClusterConfig::new(Topology::new(2, 1), protocol).with_heap_pages(4);
+    let cfg = RunSpec::new(Topology::new(2, 1), protocol).with_heap_pages(4);
     let mut cluster = Cluster::new(cfg);
     let out = cluster.alloc(2);
     cluster.run(|p| {
@@ -31,7 +31,7 @@ fn lock_cost(protocol: ProtocolKind) -> Nanos {
 /// construction; we report processor 0's).
 fn barrier_cost(protocol: ProtocolKind, total: usize, per_node: usize) -> Nanos {
     let topo = Topology::from_paper_config(total, per_node).unwrap();
-    let cfg = ClusterConfig::new(topo, protocol).with_heap_pages(4);
+    let cfg = RunSpec::new(topo, protocol).with_heap_pages(4);
     let mut cluster = Cluster::new(cfg);
     let out = cluster.alloc(2);
     cluster.run(|p| {
@@ -51,7 +51,7 @@ fn barrier_cost(protocol: ProtocolKind, total: usize, per_node: usize) -> Nanos 
 fn page_transfer_cost(protocol: ProtocolKind, local: bool) -> Nanos {
     // Two physical nodes, two procs each. Homes land on proc 0's protocol
     // node via first touch.
-    let cfg = ClusterConfig::new(Topology::new(2, 2), protocol).with_heap_pages(8);
+    let cfg = RunSpec::new(Topology::new(2, 2), protocol).with_heap_pages(8);
     let mut cluster = Cluster::new(cfg);
     let page = cluster.alloc_page_aligned(PAGE_WORDS);
     let out = cluster.alloc(2);

@@ -25,19 +25,19 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
-use cashmere_apps::{suite, AppOutcome, Benchmark, Scale};
+use cashmere_apps::{run_app, suite, AppOutcome, Benchmark, Scale};
 use cashmere_check::{audit, AuditReport};
 use cashmere_core::{Backend, Cluster, FaultPlan, ProtocolKind, RunSpec, TraceEvent};
 
 use crate::golden::{build_goldens, check_table2};
-use crate::{execute_on, json_arr, paper_spec, Obj};
+use crate::{json_arr, paper_spec, Obj};
 
 /// The seed every gate runs under unless `--seed` says otherwise.
 pub const DEFAULT_SEED: u64 = 24301;
 
 /// A fault-plan constructor, called with the cell's `spec.seed` once per
-/// repetition: a [`FaultPlan`] accumulates injection statistics, so sharing
-/// one across runs would conflate their fault counts.
+/// run: a [`FaultPlan`] accumulates injection statistics, so sharing one
+/// across runs would conflate their fault counts.
 pub type PlanFn = fn(u64) -> FaultPlan;
 
 /// One application run of a sweep.
@@ -50,21 +50,18 @@ pub struct Cell<'a> {
     /// Label of whatever axis the spec does not show (the fault-plan
     /// flavor); empty otherwise.
     pub tag: &'static str,
-    /// Repetitions; the one with the smallest wall-clock time is kept.
-    pub reps: usize,
-    /// Fault plan to install, rebuilt from `spec.seed` per repetition.
+    /// Fault plan to install, built from `spec.seed` for each run.
     pub plan: Option<PlanFn>,
 }
 
 impl<'a> Cell<'a> {
-    /// A fault-free single-repetition cell.
+    /// A fault-free cell.
     #[must_use]
     pub fn new(app: &'a dyn Benchmark, spec: RunSpec) -> Self {
         Self {
             app,
             spec,
             tag: "",
-            reps: 1,
             plan: None,
         }
     }
@@ -96,7 +93,7 @@ pub fn cross_plans<'a>(cells: Vec<Cell<'a>>, plans: &[(&'static str, PlanFn)]) -
         .collect()
 }
 
-/// A finished cell: the kept repetition's outcome, trace and wall time.
+/// A finished cell: its outcome, trace and wall time.
 pub struct Done<'a> {
     /// The cell that ran.
     pub cell: &'a Cell<'a>,
@@ -145,23 +142,16 @@ pub fn jobs_from_env() -> usize {
     }
 }
 
-/// Runs one cell: best-of-`reps` over fresh per-repetition fault plans.
+/// Runs one cell under a fresh fault plan.
 fn run_cell<'a>(cell: &'a Cell<'a>) -> (Done<'a>, Cluster) {
-    let mut best = None;
-    for _ in 0..cell.reps.max(1) {
-        let mut spec = cell.spec.clone();
-        if let Some(build) = cell.plan {
-            spec.fault_plan = Some(Arc::new(build(spec.seed)));
-        }
-        let t = Instant::now();
-        let (outcome, cluster) = execute_on(cell.app, &spec);
-        let trace = cluster.take_trace();
-        let wall_secs = t.elapsed().as_secs_f64();
-        if best.as_ref().is_none_or(|(_, _, _, b)| wall_secs < *b) {
-            best = Some((outcome, cluster, trace, wall_secs));
-        }
+    let mut spec = cell.spec.clone();
+    if let Some(build) = cell.plan {
+        spec.fault_plan = Some(Arc::new(build(spec.seed)));
     }
-    let (outcome, cluster, trace, wall_secs) = best.expect("reps >= 1");
+    let t = Instant::now();
+    let (outcome, cluster) = run_app(cell.app, &spec);
+    let trace = cluster.take_trace();
+    let wall_secs = t.elapsed().as_secs_f64();
     let done = Done {
         cell,
         outcome,
@@ -241,11 +231,11 @@ pub struct Args {
     pub seed: u64,
     /// `--backend {mc,rdma,cxl}`: the interconnect (DESIGN.md §14).
     pub backend: Backend,
-    /// `--obs`: run the wallclock and soak sweeps with observability on
-    /// and write the Figure-7 breakdown.
+    /// `--obs`: run the soak sweep with the observability hooks on (its
+    /// checksums and audits must not care).
     pub obs: bool,
-    /// `--trace APP:PROTO`: with `--obs`, export that wallclock cell's
-    /// spans as a Chrome trace.
+    /// `--trace APP:PROTO`: which cell of the obsgate sweep is exported as
+    /// a Chrome trace (default `SOR:2L`).
     pub trace: Option<(String, String)>,
 }
 
@@ -299,9 +289,6 @@ impl Args {
                     ));
                 }
             }
-        }
-        if a.trace.is_some() && !a.obs {
-            return Err("--trace requires --obs".into());
         }
         Ok(a)
     }
@@ -359,17 +346,14 @@ pub struct Ctx {
     pub root: PathBuf,
     /// Worker count for untimed sweeps (`CASHMERE_JOBS`).
     pub jobs: usize,
-    /// `WALLCLOCK_BASELINE=1`: (re)write the goldens and the wall-clock
-    /// baseline instead of checking them.
+    /// `GOLDEN_CAPTURE=1`: (re)write `results/vt_golden.jsonl` instead of
+    /// checking it.
     pub capture: bool,
     /// Checks failed so far, over all gates.
     pub failures: usize,
     /// The running gate's document: a header every gate shares, then the
     /// fields its phases add.
     pub doc: Obj,
-    /// Whether the running gate's document is kept (a gate may leave none;
-    /// capture mode drops wallclock's).
-    pub keep_doc: bool,
     /// The running gate's `cells` array.
     pub cells: Vec<String>,
     /// How many golden regenerations have run.
@@ -390,10 +374,9 @@ impl Ctx {
             args,
             root: PathBuf::new(),
             jobs: jobs_from_env(),
-            capture: std::env::var("WALLCLOCK_BASELINE").is_ok_and(|v| v == "1"),
+            capture: std::env::var("GOLDEN_CAPTURE").is_ok_and(|v| v == "1"),
             failures: 0,
             doc: Obj::new(),
-            keep_doc: false,
             cells: Vec::new(),
             golden_runs: 0,
             skip_noted: false,
@@ -502,7 +485,7 @@ impl Ctx {
                     }
                 }
                 Err(e) => self.fail(format!(
-                    "golden: cannot read {} ({e}) — capture with WALLCLOCK_BASELINE=1",
+                    "golden: cannot read {} ({e}) — capture with GOLDEN_CAPTURE=1",
                     path.display()
                 )),
             }
@@ -529,7 +512,6 @@ impl Ctx {
     pub fn run_phases(&mut self, name: &str, doc: bool, phases: &[Phase]) -> Option<String> {
         let before = self.failures;
         self.cells.clear();
-        self.keep_doc = doc;
         self.doc = Obj::new();
         self.doc
             .str("experiment", name)
@@ -560,7 +542,7 @@ impl Ctx {
         self.doc
             .val("cells", json_arr(&self.cells))
             .val("failures", failed);
-        self.keep_doc.then(|| self.doc.finish() + "\n")
+        doc.then(|| self.doc.finish() + "\n")
     }
 
     /// Runs the gates the command line selected (all when it named none)
@@ -593,11 +575,7 @@ pub(crate) fn scratch_ctx(name: &str, args: Args) -> Ctx {
     let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let root = repo.join(format!("target/tmp/gate-{name}-{}", std::process::id()));
     std::fs::create_dir_all(root.join("results")).unwrap();
-    for file in [
-        "vt_golden.jsonl",
-        "table2.jsonl",
-        "wallclock_baseline.jsonl",
-    ] {
+    for file in ["vt_golden.jsonl", "table2.jsonl"] {
         std::fs::copy(
             repo.join("results").join(file),
             root.join("results").join(file),
@@ -623,24 +601,21 @@ mod tests {
 
     #[test]
     fn parser_takes_the_documented_lines_and_rejects_the_rest() {
-        let a = parse("wallclock --obs --trace Water:2L").unwrap();
-        assert_eq!(a.gates, ["wallclock"]);
-        assert!(a.obs);
+        let a = parse("obsgate --trace Water:2L").unwrap();
+        assert_eq!(a.gates, ["obsgate"]);
+        assert!(!a.obs);
         assert_eq!(a.trace, Some(("Water".into(), "2L".into())));
         assert_eq!((a.seed, a.backend), (DEFAULT_SEED, Backend::MemoryChannel));
-        let a = parse("soak service --seed 7 --backend rdma").unwrap();
+        let a = parse("soak service --obs --seed 7 --backend rdma").unwrap();
         assert_eq!(a.gates, ["soak", "service"]);
+        assert!(a.obs);
         assert_eq!((a.seed, a.backend), (7, Backend::Rdma));
         assert_eq!(parse("").unwrap(), Args::default());
 
-        assert_eq!(
-            parse("wallclock --trace Water:2L").unwrap_err(),
-            "--trace requires --obs"
-        );
-        assert!(parse("--obs --trace Water").is_err());
+        assert!(parse("--trace Water").is_err());
         assert!(parse("--seed x").is_err());
         assert!(parse("--backend ethernet").is_err());
-        let unknown = parse("wallclok").unwrap_err();
+        let unknown = parse("goldn").unwrap_err();
         for gate in &GATES {
             assert!(unknown.contains(gate.name), "{unknown}");
         }

@@ -5,19 +5,30 @@
 
 use cashmere_core::{FaultKind, FaultPlan, FaultRule};
 
-use crate::gate::{Gate, PlanFn};
+use crate::gate::{Gate, PlanFn, GOLDEN};
 
 pub mod detpar;
 pub mod obsgate;
 pub mod scaling;
 pub mod service;
 pub mod soak;
-pub mod wallclock;
 pub mod xbackend;
+
+/// `golden`: the virtual-time drift gate on its own — the shared [`GOLDEN`]
+/// preflight, runnable by name. Parallel runs are virtual-time
+/// nondeterministic (DESIGN.md §2.4), so drift is pinned by the
+/// deterministic goldens; `GOLDEN_CAPTURE=1` rewrites
+/// `results/vt_golden.jsonl` instead of checking it. (Host wall-clock is
+/// judged in one place, the repo benchmark's `paper32` workload.)
+pub const GOLDEN_GATE: Gate = Gate {
+    name: "golden",
+    doc: false,
+    phases: &[GOLDEN],
+};
 
 /// Every registered gate, in the order a bare `gate` runs them.
 pub const GATES: [Gate; 7] = [
-    wallclock::GATE,
+    GOLDEN_GATE,
     soak::GATE,
     obsgate::GATE,
     service::GATE,
@@ -94,12 +105,7 @@ mod tests {
     /// per-record key sets.
     #[test]
     fn gate_documents_parse_and_keep_the_committed_key_sets() {
-        let gates: [(&Gate, Vec<Phase>, &[&str]); 6] = [
-            (
-                &wallclock::GATE,
-                vec![small(|c| wallclock::timing(c, &suite(Scale::Test)[..1]))],
-                &["cells"],
-            ),
+        let gates: [(&Gate, Vec<Phase>, &[&str]); 5] = [
             (
                 &soak::GATE,
                 vec![small(|c| soak::fault_matrix(c, &suite(Scale::Test)[..1]))],

@@ -11,8 +11,9 @@
 //!    virtual time and the span stream must pass
 //!    `cashmere_check::audit_spans` (proper nesting, nothing left open).
 //!    Writes `results/fig7.{jsonl,txt}`.
-//! 3. **Chrome-trace schema lint.** One cell's spans (SOR under 2L) are
-//!    exported as `results/trace_SOR_2L.json` and linted against the
+//! 3. **Chrome-trace schema lint.** One cell's spans — the one
+//!    `--trace APP:PROTO` names, SOR under 2L by default — are exported as
+//!    `results/trace_<app>_<proto>.json` and linted against the
 //!    `trace_event` subset Perfetto and `chrome://tracing` rely on.
 //!
 //! Phases 2 and 3 run unchanged on every fabric.
@@ -99,11 +100,20 @@ pub fn fig7_sweep(ctx: &mut Ctx, apps: &[Box<dyn Benchmark>]) {
         )),
         Err(e) => ctx.fail(format!("obsgate: writing fig7 outputs failed: {e}")),
     }
-    let trace_cell = done
-        .iter()
-        .find(|c| c.app() == "SOR" && c.cell.spec.protocol == ProtocolKind::TwoLevel)
-        .unwrap_or(&done[0]);
-    match obsout::export_trace(&results, trace_cell) {
+    // `--trace` must name a cell of the sweep; the default falls back to
+    // the first cell when the sweep (a test's) has no SOR.
+    let named = |app: &str, proto: &str| {
+        done.iter()
+            .find(|c| c.app() == app && c.protocol() == proto)
+    };
+    let exported = match &ctx.args.trace {
+        Some((app, proto)) => {
+            named(app, proto).ok_or(format!("no cell {app}:{proto} in the sweep"))
+        }
+        None => Ok(named("SOR", "2L").unwrap_or(&done[0])),
+    }
+    .and_then(|cell| obsout::export_trace(&results, cell));
+    match exported {
         Ok((path, events)) => println!(
             "obsgate trace: {} lints clean ({events} duration events)",
             path.display()

@@ -28,7 +28,7 @@ use cashmere_workload::Trace;
 
 use super::{LOSSY_LINK, LOST_REQUESTS};
 use crate::gate::{collect_cells, cross_plans, matrix, run_cells, Cell, Ctx, Gate, Phase, GOLDEN};
-use crate::{execute, json_arr, sequential_spec, Obj};
+use crate::{json_arr, sequential, Obj};
 
 /// The sweep/soak topology: 4 processors on 2 nodes (same as the soak
 /// gate — every cell crosses node boundaries).
@@ -129,8 +129,8 @@ fn determinism(ctx: &mut Ctx) {
                 "service determinism {name}: TRACE not byte-identical"
             ));
         }
-        let a = execute(*app, &sequential_spec());
-        let b = execute(*app, &sequential_spec());
+        let a = sequential(*app);
+        let b = sequential(*app);
         let vt_ok = a.report.exec_ns == b.report.exec_ns && a.checksum == b.checksum;
         if !vt_ok {
             ctx.fail(format!(

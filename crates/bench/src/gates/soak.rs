@@ -25,7 +25,7 @@ use super::{DUPLICATED_TRANSFERS, LOSSY_LINK, LOST_REQUESTS};
 use crate::gate::{
     collect_cells, cross_plans, matrix, run_cells, Ctx, Gate, Golden, Phase, PlanFn,
 };
-use crate::{json_map, obsout, Obj};
+use crate::{json_map, Obj};
 
 /// The matrix topology: 4 processors on 2 nodes — small enough to soak the
 /// whole suite quickly, large enough that every cell does remote fetches,
@@ -84,8 +84,6 @@ pub fn fault_matrix(ctx: &mut Ctx, apps: &[Box<dyn Benchmark>]) {
 
     // Campaign-wide (faults injected, recovery actions), per plan flavor.
     let mut totals = [(0u64, 0u64); PLANS.len()];
-    // Kept only when `--obs` wants the Figure-7 rows afterwards.
-    let mut done = Vec::new();
     run_cells(&cells, ctx.jobs, |cell, _| {
         let want = reference
             .iter()
@@ -131,15 +129,8 @@ pub fn fault_matrix(ctx: &mut Ctx, apps: &[Box<dyn Benchmark>]) {
                 .val("faults", json_map(recovery.faults_injected.iter().copied()))
                 .finish(),
         );
-        if ctx.args.obs {
-            done.push(cell);
-        }
     });
-    let config = format!("{}:{}", CONFIG.0, CONFIG.1);
-    ctx.doc.str("config", &config);
-    if ctx.args.obs {
-        obsout::write_fig7(&ctx.path("results"), &done, &config).expect("write fig7");
-    }
+    ctx.doc.str("config", &format!("{}:{}", CONFIG.0, CONFIG.1));
 
     for (((name, _), expects_recovery), (faults, recovered)) in PLANS.into_iter().zip(totals) {
         if faults == 0 {

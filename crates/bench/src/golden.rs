@@ -23,15 +23,15 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use cashmere_apps::Benchmark;
+use cashmere_apps::{run_app, Benchmark};
 use cashmere_core::engine::ProcCtx;
 use cashmere_core::report::Counters;
 use cashmere_core::{
-    Backend, ClusterConfig, Engine, FaultPlan, ProcId, ProtocolKind, SyncSpec, Topology,
-    TraceEvent, PAGE_WORDS,
+    Backend, Engine, FaultPlan, ProcId, ProtocolKind, RunSpec, SyncSpec, Topology, TraceEvent,
+    PAGE_WORDS,
 };
 
-use crate::{execute_on, json_arr, json_map, jsonl_field, sequential_spec, Obj};
+use crate::{json_arr, json_map, jsonl_field, sequential_spec, Obj};
 
 /// One golden regeneration pass: the JSONL contents plus the per-probe
 /// traces (empty unless auditing was requested).
@@ -63,7 +63,7 @@ pub fn build_goldens(
     for app in apps {
         let mut spec = sequential_spec().with_audit(audit).with_obs(obs);
         spec.fault_plan = plan.cloned();
-        let (out, cluster) = execute_on(app.as_ref(), &spec);
+        let (out, cluster) = run_app(app.as_ref(), &spec);
         seq_secs.push((app.name(), out.report.exec_secs()));
         traces.push((format!("sequential {}", app.name()), cluster.take_trace()));
         let line = Obj::new()
@@ -135,8 +135,8 @@ pub fn check_table2(path: &Path, seq_secs: &[(&'static str, f64)]) -> usize {
 /// script is fully deterministic on every backend, so the clocks and
 /// counters it returns are exact per-backend cost fingerprints — the
 /// `xbackend` harness uses them to prove direct-read backends issue fewer
-/// request/reply round trips than the Memory Channel. `MemoryChannel`
-/// leaves the config untouched (same bytes as the committed goldens).
+/// request/reply round trips than the Memory Channel. On `MemoryChannel`
+/// it produces the bytes of the committed goldens.
 pub fn replay_on(
     backend: Backend,
     protocol: ProtocolKind,
@@ -144,26 +144,20 @@ pub fn replay_on(
     audit: bool,
     obs: bool,
 ) -> (Vec<u64>, Counters, Vec<TraceEvent>) {
-    let mut cfg = ClusterConfig::new(Topology::new(2, 2), protocol)
+    let mut cfg = RunSpec::new(Topology::new(2, 2), protocol)
         .with_heap_pages(16)
         .with_sync(SyncSpec {
             locks: 2,
             barriers: 2,
             flags: 0,
         })
+        .with_transport(backend)
+        .with_audit(audit)
         .with_obs(obs);
-    if backend != Backend::MemoryChannel {
-        cfg = cfg.with_transport(backend);
-    }
     // Superpage granularity 2 so non-home private pages exist (exclusive
     // mode is reachable), exactly as in the engine-semantics tests.
     cfg.pages_per_superpage = 2;
-    if audit {
-        cfg = cfg.with_audit(true);
-    }
-    if let Some(p) = plan {
-        cfg = cfg.with_faults(p);
-    }
+    cfg.fault_plan = plan;
     let e = Engine::new(cfg);
     let mut ctxs: Vec<ProcCtx> = (0..4).map(|i| e.make_ctx(ProcId(i))).collect();
 

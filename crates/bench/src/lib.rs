@@ -16,9 +16,10 @@
 //! Each binary prints a human-readable table and appends a machine-readable
 //! JSON record to `results/` (used to assemble EXPERIMENTS.md). A run is
 //! described by a [`RunSpec`] and nothing else: [`paper_spec`] names a
-//! paper configuration, [`execute`] runs an application under one.
+//! paper configuration, [`cashmere_apps::run_app`] runs an application
+//! under one.
 //!
-//! The gates — wallclock, soak, obsgate, service, scaling, detpar, xbackend
+//! The gates — golden, soak, obsgate, service, scaling, detpar, xbackend
 //! — are phase lists ([`gates`]) over one harness ([`gate`]) behind one
 //! binary, `gate` (`scripts/gate.sh`; DESIGN.md §16).
 
@@ -27,8 +28,8 @@ use std::fmt::{Display, Write as _};
 use std::io::Write as _;
 use std::path::Path;
 
-use cashmere_apps::{AppOutcome, Benchmark};
-use cashmere_core::{Cluster, Nanos, ProtocolKind, RunSpec, Topology};
+use cashmere_apps::{run_app, AppOutcome, Benchmark};
+use cashmere_core::{Nanos, ProtocolKind, RunSpec, Topology};
 use cashmere_obs::json::push_str_escaped;
 
 pub mod gate;
@@ -60,18 +61,6 @@ pub fn paper_spec(protocol: ProtocolKind, total: usize, per_node: usize) -> RunS
     RunSpec::new(topo, protocol)
 }
 
-/// Runs `app` on the cluster `spec` describes and returns the cluster too,
-/// for callers that read the trace or the engine back.
-pub fn execute_on(app: &dyn Benchmark, spec: &RunSpec) -> (AppOutcome, Cluster) {
-    let mut cluster = spec.build_cluster(|cfg| app.configure(cfg));
-    (app.execute(&mut cluster), cluster)
-}
-
-/// Runs `app` on the cluster `spec` describes.
-pub fn execute(app: &dyn Benchmark, spec: &RunSpec) -> AppOutcome {
-    execute_on(app, spec).0
-}
-
 /// A topology in the paper's `P:k` notation (total processors : per node).
 #[must_use]
 pub fn config_label(topology: &Topology) -> String {
@@ -80,7 +69,7 @@ pub fn config_label(topology: &Topology) -> String {
 
 /// The paper's sequential baseline: one processor, uninstrumented.
 pub fn sequential(app: &dyn Benchmark) -> AppOutcome {
-    execute(app, &sequential_spec())
+    run_app(app, &sequential_spec()).0
 }
 
 /// The spec [`sequential`] runs under.
@@ -95,7 +84,7 @@ pub fn sequential_spec() -> RunSpec {
 /// (TSP's pruning, Water/Barnes's dynamic scheduling).
 pub fn execute_best(app: &dyn Benchmark, spec: &RunSpec, n: usize) -> AppOutcome {
     (0..n.max(1))
-        .map(|_| execute(app, spec))
+        .map(|_| run_app(app, spec).0)
         .min_by_key(|o| o.report.exec_ns)
         .expect("n >= 1")
 }
@@ -338,7 +327,7 @@ mod tests {
         let seq = sequential(&app);
         assert!(seq.report.exec_ns > 0);
         let spec = paper_spec(ProtocolKind::TwoLevel, 4, 2);
-        let par = execute(&app, &spec);
+        let par = run_app(&app, &spec).0;
         assert_eq!(par.checksum, seq.checksum);
         let rec = Record::new("test", "SOR", &spec, &par, seq.report.exec_ns);
         assert_eq!(rec.config, "4:2");

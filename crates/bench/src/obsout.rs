@@ -28,9 +28,6 @@ pub fn fig7_json(cell: &Done, config: &str) -> Option<String> {
         .str("app", cell.app())
         .str("protocol", cell.protocol())
         .str("config", config);
-    if !cell.cell.tag.is_empty() {
-        o.str("plan", cell.cell.tag);
-    }
     o.val("procs", obs.procs);
     for c in Fig7Cat::ALL {
         o.val(c.label(), obs.fig7.get(c));

@@ -1,7 +1,7 @@
 //! Protocol invariant auditor for the Cashmere-2L engine.
 //!
 //! [`audit`] replays a [`TraceEvent`] stream captured by an engine built
-//! with [`cashmere_core::ClusterConfig::audit`] and verifies four invariant
+//! with [`cashmere_core::RunSpec::audit`] and verifies four invariant
 //! families:
 //!
 //! 1. **Happens-before** — a vector-clock replay of the synchronization
@@ -60,9 +60,9 @@
 //! after observation.
 //!
 //! ```
-//! use cashmere_core::{Cluster, ClusterConfig, ProtocolKind, Topology};
+//! use cashmere_core::{Cluster, ProtocolKind, RunSpec, Topology};
 //!
-//! let cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
+//! let cfg = RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
 //!     .with_audit(true);
 //! let mut cluster = Cluster::new(cfg);
 //! let a = cluster.alloc(4);
@@ -1700,8 +1700,8 @@ mod tests {
 
     #[test]
     fn real_obs_run_passes_the_span_audit() {
-        use cashmere_core::{Cluster, ClusterConfig, ProtocolKind, Topology};
-        let cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
+        use cashmere_core::{Cluster, ProtocolKind, RunSpec, Topology};
+        let cfg = RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
             .with_heap_pages(8)
             .with_obs(true);
         let mut cluster = Cluster::new(cfg);

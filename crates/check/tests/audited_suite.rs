@@ -3,9 +3,9 @@
 //! protocol violations. Plus deterministic positive/negative checks for
 //! the happens-before race detector.
 
-use cashmere_apps::{suite, Scale};
+use cashmere_apps::{run_app, suite, Scale};
 use cashmere_check::audit;
-use cashmere_core::{Cluster, ClusterConfig, Engine, ProtocolKind, SyncSpec, Topology};
+use cashmere_core::{Cluster, Engine, ProtocolKind, RunSpec, SyncSpec, Topology};
 use cashmere_sim::ProcId;
 
 /// The whole suite, all protocols, auditor on: the engine must uphold
@@ -16,10 +16,8 @@ use cashmere_sim::ProcId;
 fn application_suite_audits_clean_under_all_protocols() {
     for app in suite(Scale::Test) {
         for protocol in ProtocolKind::ALL {
-            let mut cfg = ClusterConfig::new(Topology::new(2, 2), protocol).with_audit(true);
-            app.configure(&mut cfg);
-            let mut cluster = Cluster::new(cfg);
-            app.execute(&mut cluster);
+            let spec = RunSpec::new(Topology::new(2, 2), protocol).with_audit(true);
+            let (_, cluster) = run_app(app.as_ref(), &spec);
             let trace = cluster.take_trace();
             assert!(!trace.is_empty(), "{} emitted no events", app.name());
             let report = audit(&trace);
@@ -39,7 +37,7 @@ fn application_suite_audits_clean_under_all_protocols() {
 #[test]
 fn locked_increments_have_no_races() {
     for protocol in ProtocolKind::ALL {
-        let cfg = ClusterConfig::new(Topology::new(2, 2), protocol)
+        let cfg = RunSpec::new(Topology::new(2, 2), protocol)
             .with_heap_pages(4)
             .with_sync(SyncSpec {
                 locks: 4,
@@ -81,7 +79,7 @@ fn locked_increments_have_no_races() {
 /// leave no flush epoch to race with).
 #[test]
 fn unsynchronized_remote_write_is_reported_as_a_race() {
-    let cfg = ClusterConfig::new(Topology::new(3, 1), ProtocolKind::TwoLevel)
+    let cfg = RunSpec::new(Topology::new(3, 1), ProtocolKind::TwoLevel)
         .with_heap_pages(4)
         .with_sync(SyncSpec {
             locks: 2,
@@ -130,11 +128,9 @@ fn auditing_does_not_perturb_results() {
         let outcomes: Vec<u64> = [false, true]
             .into_iter()
             .map(|audit_on| {
-                let mut cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
-                    .with_audit(audit_on);
-                app.configure(&mut cfg);
-                let mut cluster = Cluster::new(cfg);
-                app.execute(&mut cluster).checksum
+                let spec =
+                    RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel).with_audit(audit_on);
+                run_app(app.as_ref(), &spec).0.checksum
             })
             .collect();
         assert_eq!(outcomes[0], outcomes[1], "{}", app.name());

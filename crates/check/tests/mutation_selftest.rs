@@ -7,7 +7,7 @@
 
 use cashmere_check::{audit, ViolationKind};
 use cashmere_core::{
-    ClusterConfig, Engine, ProtocolEvent, ProtocolKind, SyncSpec, Topology, TraceEvent, PAGE_WORDS,
+    Engine, ProtocolEvent, ProtocolKind, RunSpec, SyncSpec, Topology, TraceEvent, PAGE_WORDS,
 };
 use cashmere_sim::ProcId;
 
@@ -17,7 +17,7 @@ use cashmere_sim::ProcId;
 /// node 0, exclusive entry and break on page 1, releases flushing diffs
 /// and posting notices, and a refused exclusive re-entry.
 fn base_trace() -> Vec<TraceEvent> {
-    let mut cfg = ClusterConfig::new(Topology::new(3, 1), ProtocolKind::TwoLevel)
+    let mut cfg = RunSpec::new(Topology::new(3, 1), ProtocolKind::TwoLevel)
         .with_heap_pages(8)
         .with_sync(SyncSpec {
             locks: 2,

@@ -10,7 +10,7 @@
 
 use cashmere_check::{audit, ViolationKind};
 use cashmere_core::{
-    ClusterConfig, Engine, FaultKind, FaultPlan, FaultRule, ProtocolEvent, ProtocolKind, SyncSpec,
+    Engine, FaultKind, FaultPlan, FaultRule, ProtocolEvent, ProtocolKind, RunSpec, SyncSpec,
     Topology, TraceEvent, PAGE_WORDS,
 };
 use cashmere_sim::ProcId;
@@ -34,7 +34,7 @@ fn hostile_plan() -> Arc<FaultPlan> {
 /// the hostile plan: remote fetches (timeouts + duplicated replies), an
 /// exclusive entry and break (break timeouts), releases and notices.
 fn faulty_trace() -> (Vec<TraceEvent>, u64) {
-    let mut cfg = ClusterConfig::new(Topology::new(3, 1), ProtocolKind::TwoLevel)
+    let mut cfg = RunSpec::new(Topology::new(3, 1), ProtocolKind::TwoLevel)
         .with_heap_pages(8)
         .with_sync(SyncSpec {
             locks: 2,

@@ -137,6 +137,12 @@ impl DetState {
     }
 }
 
+/// The lookahead window every run uses, in virtual nanoseconds: coarse
+/// enough that a window spans many operations of every paper app, fine
+/// enough to keep processors' virtual times loosely synchronized at
+/// protocol boundaries.
+pub const QUANTUM_NS: Nanos = 50_000;
+
 /// The conservative virtual-time scheduler for one run.
 pub struct DetScheduler {
     state: Mutex<DetState>,

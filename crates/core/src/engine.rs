@@ -40,7 +40,8 @@ use cashmere_faults::FaultPlan;
 use cashmere_memchan::{TransportConfig, TREE_FANOUT};
 use cashmere_obs::{LinkMetrics, ProcObs, SpanKind};
 use cashmere_sim::{
-    FetchShape, Messaging, Nanos, NodeMap, ProcClock, ProcId, Resource, TimeCategory, Topology,
+    CostModel, FetchShape, Messaging, Nanos, NodeMap, ProcClock, ProcId, Resource, TimeCategory,
+    Topology,
 };
 use cashmere_transport::{build_transport, Transport};
 use cashmere_vmpage::{
@@ -48,12 +49,13 @@ use cashmere_vmpage::{
     PageTable, Perm, Twin, PAGE_BYTES, PAGE_WORDS,
 };
 
-use crate::config::{ClusterConfig, DirectoryMode};
+use crate::config::DirectoryMode;
 use crate::det::{DetHandle, WaitKey};
 use crate::directory::{DirWord, Directory, HomeInfo, PermBits};
 use crate::mc_lock::McLock;
 use crate::recovery::{retry_until_delivered, RecoveryCounts, RecoverySummary, Request};
 use crate::report::{Counters, Tally};
+use crate::run::RunSpec;
 use crate::trace::{emit, ProtocolEvent, ReleaseAction, TraceRecorder};
 use crate::write_notice::{NleList, NoticeBoard, ProcNoticeList};
 use crate::Addr;
@@ -86,9 +88,10 @@ pub struct ProcCtx {
     /// `LocalProc::pt`, cached here so the access fast path skips the
     /// pnodes→procs pointer chase on every read and write.
     pt: Arc<PageTable>,
-    /// Per-shared-access polling charge, precomputed from the configured
-    /// `poll_fraction` (zero under interrupt messaging or a zero fraction),
-    /// so the fast path avoids an f64 multiply + cast per access.
+    /// Per-shared-access polling charge, precomputed from the engine's
+    /// effective polling fraction (zero under interrupt messaging or on an
+    /// uninstrumented run), so the fast path avoids an f64 multiply + cast
+    /// per access.
     poll_access_ns: Nanos,
     /// Pages this context has ever held in exclusive mode (sticky; see
     /// `Engine::write_word` for the in-write-flag gating it permits).
@@ -97,7 +100,7 @@ pub struct ProcCtx {
     pending_bus: u64,
     /// Accumulated unsettled write-doubling bytes (1L; settled in batches).
     pending_double: u64,
-    /// Per-processor observability state ([`ClusterConfig::obs`]); `None`
+    /// Per-processor observability state ([`RunSpec::obs`]); `None`
     /// when observability is off, so the disabled cost is one discriminant
     /// test per hook and zero allocations.
     pub obs: Option<Box<ProcObs>>,
@@ -115,8 +118,9 @@ impl ProcCtx {
         phys: usize,
         pt: Arc<PageTable>,
         excl_held: Vec<bool>,
-        cfg: &ClusterConfig,
+        engine: &Engine,
     ) -> Self {
+        let cfg = &engine.cfg;
         Self {
             id,
             pnode,
@@ -129,11 +133,7 @@ impl ProcCtx {
             acquire_ts: 0,
             bus_bytes: cfg.bus_bytes_per_access,
             pt,
-            poll_access_ns: if cfg.cost.messaging == Messaging::Polling && cfg.poll_fraction > 0.0 {
-                (cfg.cost.shared_access as f64 * cfg.poll_fraction) as Nanos
-            } else {
-                0
-            },
+            poll_access_ns: (engine.cost.shared_access as f64 * engine.poll_fraction) as Nanos,
             excl_held,
             pending_bus: 0,
             pending_double: 0,
@@ -319,7 +319,13 @@ struct PNode {
 
 /// The protocol engine. One per cluster; shared by all processors.
 pub struct Engine {
-    cfg: ClusterConfig,
+    cfg: RunSpec,
+    /// The run's cost model, chosen once in [`Engine::new`]; the transport
+    /// owns a copy.
+    cost: CostModel,
+    /// The polling-overhead fraction actually charged: `cfg.poll_fraction`
+    /// under polling messaging on an instrumented run, zero otherwise.
+    poll_fraction: f64,
     topo: Topology,
     map: NodeMap,
     mc: Arc<dyn Transport>,
@@ -341,15 +347,15 @@ pub struct Engine {
     /// seeds the sticky `excl_held` bitmap (a fresh cluster takes
     /// `procs × pages` node-page locks otherwise).
     any_exclusive: AtomicBool,
-    /// Auditor event stream (`Some` only when [`ClusterConfig::audit`]).
+    /// Auditor event stream (`Some` only when [`RunSpec::audit`]).
     rec: Option<Arc<TraceRecorder>>,
-    /// The fault plan, when one is installed (`ClusterConfig::fault_plan`).
+    /// The fault plan, when one is installed ([`RunSpec::fault_plan`]).
     /// Shared with the Memory Channel; the engine consults it at the
     /// user-level request interposition points (page fetch, exclusive
     /// break) and recovers from the losses it injects.
     faults: Option<Arc<FaultPlan>>,
     /// Per-link traffic counters, shared with the Memory Channel (`Some`
-    /// only when [`ClusterConfig::obs`]).
+    /// only when [`RunSpec::obs`]).
     link_metrics: Option<Arc<LinkMetrics>>,
     /// Tallies of the processors that have finished, folded in at join
     /// ([`Engine::absorb`]) so a cluster's second run still reports
@@ -367,7 +373,20 @@ struct Totals {
 impl Engine {
     /// Builds the engine: directory, notice board, per-node state, home
     /// round-robin assignment.
-    pub fn new(cfg: ClusterConfig) -> Arc<Self> {
+    ///
+    /// This is the one place a run's derived settings are decided: the
+    /// cost model is the backend's table with the spec's messaging
+    /// mechanism, and polling overhead is charged only under polling
+    /// messaging on an instrumented run — `uninstrumented` wins over
+    /// whatever `poll_fraction` an application asked for.
+    pub fn new(cfg: RunSpec) -> Arc<Self> {
+        let mut cost = cfg.backend.cost_model();
+        cost.messaging = cfg.messaging;
+        let poll_fraction = if cfg.messaging == Messaging::Polling && !cfg.uninstrumented {
+            cfg.poll_fraction
+        } else {
+            0.0
+        };
         let topo = cfg.topology;
         let map = cfg.protocol.node_map();
         let n_pnodes = map.protocol_nodes(&topo);
@@ -384,26 +403,21 @@ impl Engine {
             .map(|pn| map.physical_of(&topo, cashmere_sim::NodeId(pn)).0)
             .collect();
         let link_metrics = cfg.obs.then(|| Arc::new(LinkMetrics::new(topo.nodes())));
-        // The `cfg.cost.clone()` below is the one construction-time deep
-        // clone that is semantically required: the transport *owns* its
-        // `CostModel` (the link layer must keep charging consistently even
-        // if a caller later tweaks its config copy). `fault_plan` and
+        // The `cost.clone()` below is the one construction-time deep clone:
+        // the transport *owns* its `CostModel`. `fault_plan` and
         // `link_metrics` are `Option<Arc<_>>`, so their `.clone()`s are
         // reference-count bumps sharing one plan / one counter set —
         // exactly what the fault and observability designs need.
         let mc = build_transport(
             TransportConfig::new(link_of, topo.nodes())
                 .with_backend(cfg.backend)
-                .with_cost(cfg.cost.clone())
+                .with_cost(cost.clone())
                 .with_fault_plan(cfg.fault_plan.clone())
                 .with_metrics(link_metrics.clone()),
         );
         let rec = cfg.audit.then(|| Arc::new(TraceRecorder::new()));
         let mut dir = Directory::new(Arc::clone(&mc), n_pnodes, pages, cfg.directory);
-        let gate_hold = cfg
-            .cost
-            .dir_update_locked
-            .saturating_sub(cfg.cost.dir_update);
+        let gate_hold = cost.dir_update_locked.saturating_sub(cost.dir_update);
         let mut notices = NoticeBoard::new(n_pnodes, cfg.directory, gate_hold);
         let mut home_lock = McLock::new(Arc::clone(&mc), n_pnodes);
         if let Some(r) = &rec {
@@ -479,6 +493,8 @@ impl Engine {
             faults: cfg.fault_plan.clone(),
             link_metrics,
             cfg,
+            cost,
+            poll_fraction,
             totals: Mutex::new(Totals {
                 counters: Counters::default(),
                 recovery: vec![RecoveryCounts::default(); n_pnodes],
@@ -486,20 +502,26 @@ impl Engine {
         })
     }
 
-    /// The shared per-link traffic counters, when [`ClusterConfig::obs`] is
+    /// The shared per-link traffic counters, when [`RunSpec::obs`] is
     /// set.
     pub fn link_metrics(&self) -> Option<&Arc<LinkMetrics>> {
         self.link_metrics.as_ref()
     }
 
-    /// The auditor's event recorder, when [`ClusterConfig::audit`] is set.
+    /// The auditor's event recorder, when [`RunSpec::audit`] is set.
     pub fn recorder(&self) -> Option<&Arc<TraceRecorder>> {
         self.rec.as_ref()
     }
 
-    /// The configuration this engine runs.
-    pub fn config(&self) -> &ClusterConfig {
+    /// The spec this engine runs.
+    pub fn config(&self) -> &RunSpec {
         &self.cfg
+    }
+
+    /// The run's cost model: the backend's table under the spec's
+    /// messaging mechanism.
+    pub(crate) fn cost(&self) -> &CostModel {
+        &self.cost
     }
 
     /// Folds a finished processor's tally into the cluster totals: its
@@ -557,7 +579,7 @@ impl Engine {
         } else {
             vec![false; self.cfg.heap_pages]
         };
-        ProcCtx::new(p, pnode, local, phys, pt, excl_held, &self.cfg)
+        ProcCtx::new(p, pnode, local, phys, pt, excl_held, self)
     }
 
     fn master(&self, page: usize) -> &Arc<Frame> {
@@ -683,7 +705,7 @@ impl Engine {
                 master.store(off, val);
                 ctx.clock.charge(
                     TimeCategory::WriteDoubling,
-                    self.cfg.cost.write_double_per_store,
+                    self.cost.write_double_per_store,
                 );
                 ctx.pending_double += 8;
                 ctx.tally.counters.data_bytes += 8;
@@ -695,7 +717,7 @@ impl Engine {
     }
 
     fn charge_access(&self, ctx: &mut ProcCtx) {
-        let c = &self.cfg.cost;
+        let c = &self.cost;
         ctx.clock.charge(TimeCategory::User, c.shared_access);
         if ctx.poll_access_ns > 0 {
             // Precomputed in `ProcCtx::new` — identical to
@@ -717,7 +739,7 @@ impl Engine {
     /// settle is a lookahead barrier (DESIGN.md §15).
     fn settle_bus(&self, ctx: &mut ProcCtx) {
         ctx.gate_enter();
-        let busy = ctx.pending_bus * self.cfg.cost.node_bus_ns_per_byte;
+        let busy = ctx.pending_bus * self.cost.node_bus_ns_per_byte;
         ctx.pending_bus = 0;
         let done = self.buses[ctx.phys].acquire(ctx.clock.now(), busy);
         ctx.clock.wait_until(done);
@@ -750,7 +772,7 @@ impl Engine {
         if n == 0 {
             return;
         }
-        let c = &self.cfg.cost;
+        let c = &self.cost;
         if ctx.bus_bytes == 0 {
             ctx.clock.charge(TimeCategory::User, c.shared_access * n);
             if ctx.poll_access_ns > 0 {
@@ -889,7 +911,7 @@ impl Engine {
     /// store that trips the bus settle charges its own doubling cost
     /// *after* the bus wait, exactly as the scalar sequence does.
     fn charge_doubled_stores(&self, ctx: &mut ProcCtx, mut n: u64) {
-        let c = &self.cfg.cost;
+        let c = &self.cost;
         let wd = c.write_double_per_store;
         ctx.tally.counters.data_bytes += 8 * n;
         while n > 0 {
@@ -933,10 +955,10 @@ impl Engine {
     pub fn compute(&self, ctx: &mut ProcCtx, ns: Nanos) {
         ctx.det_checkpoint();
         ctx.clock.charge(TimeCategory::User, ns);
-        if self.cfg.cost.messaging == Messaging::Polling && self.cfg.poll_fraction > 0.0 {
+        if self.poll_fraction > 0.0 {
             ctx.clock.charge(
                 TimeCategory::Polling,
-                (ns as f64 * self.cfg.poll_fraction) as Nanos,
+                (ns as f64 * self.poll_fraction) as Nanos,
             );
         }
     }
@@ -952,7 +974,7 @@ impl Engine {
             .dir
             .read_home(page, ctx.pnode)
             .expect("home initialized at startup");
-        if !home.is_default || !self.cfg.first_touch {
+        if !home.is_default {
             return home.pnode;
         }
         // First touch: relocate the whole superpage to us, once, under the
@@ -965,7 +987,7 @@ impl Engine {
             .acquire(ctx.pnode, ctx.clock.now(), self.lock_cost());
         ctx.clock.wait_until(vt);
         ctx.clock
-            .charge(TimeCategory::Protocol, self.cfg.cost.dir_update_locked);
+            .charge(TimeCategory::Protocol, self.cost.dir_update_locked);
         let home = self
             .dir
             .read_home(page, ctx.pnode)
@@ -1001,9 +1023,9 @@ impl Engine {
 
     fn lock_cost(&self) -> Nanos {
         if self.cfg.protocol.is_two_level() {
-            self.cfg.cost.lock_two_level
+            self.cost.lock_two_level
         } else {
-            self.cfg.cost.lock_one_level
+            self.cost.lock_one_level
         }
     }
 
@@ -1056,7 +1078,7 @@ impl Engine {
         }
         // Borrow, don't clone: every call below takes `&self`, so the fault
         // path no longer deep-copies the whole cost table per fault.
-        let c = &self.cfg.cost;
+        let c = &self.cost;
         ctx.clock.charge(TimeCategory::Protocol, c.page_fault);
         let home = self.resolve_home(ctx, page);
         let my_home = self.acts_as_home(ctx, home);
@@ -1073,7 +1095,7 @@ impl Engine {
                         let dur = o.end(SpanKind::Break, &ctx.clock);
                         o.metrics.break_rtt.record(dur);
                         o.metrics.breaks += 1;
-                        if self.cfg.cost.messaging == Messaging::Interrupt {
+                        if self.cost.messaging == Messaging::Interrupt {
                             o.metrics.interrupts += 1;
                         }
                     }
@@ -1272,7 +1294,7 @@ impl Engine {
         np: &mut NodePage,
         node_now: u64,
     ) {
-        let c = &self.cfg.cost;
+        let c = &self.cost;
         ctx.obs_begin(SpanKind::Fetch, page as i64);
         ctx.tally.counters.page_transfers += 1;
         ctx.tally.counters.data_bytes += PAGE_BYTES as u64;
@@ -1316,7 +1338,6 @@ impl Engine {
                 let me = ctx.pnode;
                 retry_until_delivered(
                     ctx,
-                    &self.cfg.recovery,
                     &self.rec,
                     Request::Fetch,
                     delivery,
@@ -1372,7 +1393,7 @@ impl Engine {
             let dur = o.end(SpanKind::Fetch, &ctx.clock);
             o.metrics.fetch_rtt.record(dur);
             // A one-sided read never interrupts the home processor.
-            if home_phys != ctx.phys && !direct && self.cfg.cost.messaging == Messaging::Interrupt {
+            if home_phys != ctx.phys && !direct && self.cost.messaging == Messaging::Interrupt {
                 o.metrics.interrupts += 1;
             }
         }
@@ -1393,7 +1414,7 @@ impl Engine {
         incoming: &[u64; PAGE_WORDS],
         node_now: u64,
     ) -> bool {
-        let c = &self.cfg.cost;
+        let c = &self.cost;
         if seq <= np.applied_reply_seq {
             ctx.tally.recovery.duplicates_dropped += 1;
             emit(&self.rec, || ProtocolEvent::FetchReply {
@@ -1454,8 +1475,8 @@ impl Engine {
         np: &mut NodePage,
         node_now: u64,
     ) {
-        let c = &self.cfg.cost;
-        let per_proc = match self.cfg.cost.messaging {
+        let c = &self.cost;
+        let per_proc = match self.cost.messaging {
             Messaging::Polling => c.shootdown_polling,
             Messaging::Interrupt => c.shootdown_interrupt,
         };
@@ -1497,7 +1518,7 @@ impl Engine {
     /// the dirty-word count (`diff.words()`), so the run-length
     /// representation cannot perturb virtual time.
     fn flush_diff_to_master(&self, ctx: &mut ProcCtx, page: usize, home: usize, diff: &DiffRuns) {
-        let c = &self.cfg.cost;
+        let c = &self.cost;
         // Producer: emit before the master stores so any fetch that sees
         // these words is sequenced after this flush.
         emit(&self.rec, || ProtocolEvent::DiffOut {
@@ -1547,7 +1568,7 @@ impl Engine {
         home: usize,
     ) {
         // Borrow, don't clone (see `fault_common`).
-        let c = &self.cfg.cost;
+        let c = &self.cost;
         ctx.tally.counters.remote_requests += 1;
 
         // Fault recovery: a lost break interrupt times out in virtual time
@@ -1560,7 +1581,6 @@ impl Engine {
                 .0;
             retry_until_delivered(
                 ctx,
-                &self.cfg.recovery,
                 &self.rec,
                 Request::Break,
                 c.request_delivery(),
@@ -1727,7 +1747,7 @@ impl Engine {
         } else {
             // The notice batch for this page rides one remote write.
             ctx.clock
-                .charge(TimeCategory::Protocol, self.cfg.cost.mc_write_latency);
+                .charge(TimeCategory::Protocol, self.cost.mc_write_latency);
         }
     }
 
@@ -1850,8 +1870,7 @@ impl Engine {
             if np.writers >> ctx.local & 1 == 1 {
                 self.pt(ctx).set(page, Perm::Read);
                 np.writers &= !(1u64 << ctx.local);
-                ctx.clock
-                    .charge(TimeCategory::Protocol, self.cfg.cost.mprotect);
+                ctx.clock.charge(TimeCategory::Protocol, self.cost.mprotect);
                 if np.effective_perm() != PermBits::Write {
                     self.write_dir(ctx, page, &np);
                 }
@@ -2000,8 +2019,7 @@ impl Engine {
                     self.pt(ctx).set(page, Perm::None);
                     np.readers &= !bit;
                     np.writers &= !bit;
-                    ctx.clock
-                        .charge(TimeCategory::Protocol, self.cfg.cost.mprotect);
+                    ctx.clock.charge(TimeCategory::Protocol, self.cost.mprotect);
                     if np.effective_perm() != before {
                         self.write_dir(ctx, page, &np);
                     }

@@ -22,8 +22,9 @@
 //!   ([`ProtocolKind::OneLevelDiffHome`], [`ProtocolKind::OneLevelWriteHome`]).
 //! * The **global-lock ablation** of §3.3.5 ([`DirectoryMode::GlobalLock`]).
 //!
-//! The public surface is [`Cluster`] (build a simulated cluster from a
-//! [`ClusterConfig`], allocate shared memory, seed initial data) and
+//! The public surface is [`RunSpec`] (the one description of a run),
+//! [`Cluster`] (build the simulated cluster a spec describes, allocate
+//! shared memory, seed initial data) and
 //! [`Proc`] (the per-processor handle applications use to access shared
 //! memory and synchronize). See the runnable examples in the repository's
 //! `examples/` directory.
@@ -43,7 +44,7 @@ pub mod sync;
 pub mod trace;
 pub mod write_notice;
 
-pub use config::{ClusterConfig, DirectoryMode, ProtocolKind, RecoveryPolicy, SyncSpec};
+pub use config::{DirectoryMode, ProtocolKind, SyncSpec};
 pub use engine::Engine;
 pub use proc::{Cluster, Proc};
 pub use recovery::{RecoveryCounts, RecoverySummary};

@@ -8,10 +8,10 @@
 //! all of them finish.
 //!
 //! ```
-//! use cashmere_core::{Cluster, ClusterConfig, ProtocolKind, Topology};
+//! use cashmere_core::{Cluster, ProtocolKind, RunSpec, Topology};
 //!
-//! let cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel);
-//! let mut cluster = Cluster::new(cfg);
+//! let spec = RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel);
+//! let mut cluster = Cluster::new(spec);
 //! let counters = cluster.alloc(4);
 //! let report = cluster.run(|p| {
 //!     p.barrier(0);
@@ -29,10 +29,10 @@ use cashmere_sim::{Nanos, ProcId, TimeCategory};
 use cashmere_vmpage::PAGE_WORDS;
 use parking_lot::Mutex;
 
-use crate::config::ClusterConfig;
-use crate::det::{DetScheduler, DetStats, WaitKey};
+use crate::det::{DetScheduler, DetStats, WaitKey, QUANTUM_NS};
 use crate::engine::{Engine, ProcCtx};
 use crate::report::Report;
+use crate::run::RunSpec;
 use crate::sync::{BarrierArrival, CarrierBarrier, CarrierFlag, CarrierLock};
 use crate::trace::{ProtocolEvent, TraceEvent};
 use crate::Addr;
@@ -53,23 +53,24 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Builds a cluster for `cfg`.
-    pub fn new(cfg: ClusterConfig) -> Self {
+    /// Builds the cluster `spec` describes.
+    pub fn new(spec: RunSpec) -> Self {
+        let sync = spec.sync;
         let pools = Arc::new(SyncPools {
-            locks: (0..cfg.locks).map(|_| CarrierLock::new()).collect(),
-            barriers: (0..cfg.barriers).map(|_| CarrierBarrier::new()).collect(),
-            flags: (0..cfg.flags).map(|_| CarrierFlag::new()).collect(),
+            locks: (0..sync.locks).map(|_| CarrierLock::new()).collect(),
+            barriers: (0..sync.barriers).map(|_| CarrierBarrier::new()).collect(),
+            flags: (0..sync.flags).map(|_| CarrierFlag::new()).collect(),
         });
         Self {
-            engine: Engine::new(cfg),
+            engine: Engine::new(spec),
             pools,
             next_word: 0,
             det_stats: Mutex::new(DetStats::default()),
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &ClusterConfig {
+    /// The spec in force.
+    pub fn config(&self) -> &RunSpec {
         self.engine.config()
     }
 
@@ -136,7 +137,7 @@ impl Cluster {
     }
 
     /// Takes the protocol event trace accumulated so far (empty unless the
-    /// cluster was built with [`ClusterConfig::audit`] set). Feed it to
+    /// cluster was built with [`RunSpec::audit`] set). Feed it to
     /// `cashmere_check::audit` to verify the run's coherence invariants.
     pub fn take_trace(&self) -> Vec<TraceEvent> {
         self.engine.recorder().map(|r| r.take()).unwrap_or_default()
@@ -146,7 +147,7 @@ impl Cluster {
     /// returns the run's [`Report`]. Each processor gets an implicit final
     /// release so all its modifications reach the home copies.
     ///
-    /// With [`ClusterConfig::with_det_parallel`], the processors advance
+    /// With [`RunSpec::with_det_parallel`], the processors advance
     /// under the deterministic parallel scheduler (DESIGN.md §15): at most
     /// that many host workers run concurrently, and the returned `Report`
     /// is byte-identical at every worker count.
@@ -194,7 +195,7 @@ impl Cluster {
         F: Fn(&mut Proc) + Sync,
     {
         let n = self.config().topology.total_procs();
-        let sched = Arc::new(DetScheduler::new(n, workers, self.config().det_quantum_ns));
+        let sched = Arc::new(DetScheduler::new(n, workers, QUANTUM_NS));
         let results: Vec<ProcCtx> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..n)
                 .map(|p| {
@@ -545,7 +546,7 @@ impl Proc {
     }
 
     fn lock_cost(&self) -> Nanos {
-        let c = &self.engine.config().cost;
+        let c = self.engine.cost();
         if self.engine.config().protocol.is_two_level() {
             c.lock_two_level
         } else {
@@ -554,11 +555,11 @@ impl Proc {
     }
 
     fn barrier_cost(&self) -> Nanos {
-        let cfg = self.engine.config();
+        let (cfg, cost) = (self.engine.config(), self.engine.cost());
         if cfg.protocol.is_two_level() {
-            cfg.cost.barrier_two_level(cfg.topology.nodes())
+            cost.barrier_two_level(cfg.topology.nodes())
         } else {
-            cfg.cost.barrier_one_level(cfg.topology.total_procs())
+            cost.barrier_one_level(cfg.topology.total_procs())
         }
     }
 

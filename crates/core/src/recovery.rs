@@ -3,7 +3,7 @@
 //! When a [`cashmere_faults::FaultPlan`] is installed, lost page-fetch
 //! requests and lost exclusive-break interrupts are recovered by the engine:
 //! requests are sequence-numbered, timed out in virtual time with capped
-//! exponential backoff ([`crate::config::RecoveryPolicy`]), and retried;
+//! exponential backoff ([`timeout`]), and retried;
 //! replayed replies are suppressed by a per-(node, page) sequence check so a
 //! duplicate can never double-apply against a twin. This module holds the
 //! one timeout/backoff/retry loop ([`retry_until_delivered`]) every such
@@ -19,7 +19,6 @@ use std::sync::Arc;
 
 use cashmere_sim::{Nanos, TimeCategory};
 
-use crate::config::RecoveryPolicy;
 use crate::engine::ProcCtx;
 use crate::trace::{emit, ProtocolEvent, TraceRecorder};
 
@@ -30,6 +29,28 @@ pub(crate) enum Request {
     Fetch,
     /// An exclusive-mode break interrupt.
     Break,
+}
+
+/// Timeout charged for the first lost attempt, in virtual nanoseconds:
+/// comfortably above the round trip a healthy fetch takes under the default
+/// cost model, so a timeout only fires for genuinely lost requests.
+const BASE_TIMEOUT: Nanos = 60_000;
+/// Upper bound on the per-attempt timeout: 16× the base, which keeps deep
+/// retry chains from dominating virtual time.
+const BACKOFF_CAP: Nanos = 960_000;
+
+/// The timeout charged before retrying after the `attempt`-th loss
+/// (attempts count from 1): [`BASE_TIMEOUT`] doubling per attempt, capped
+/// at [`BACKOFF_CAP`].
+#[must_use]
+pub(crate) fn timeout(attempt: u32) -> Nanos {
+    let shift = attempt.saturating_sub(1).min(63);
+    // `checked_mul`, not `checked_shl`: a shift only fails for counts
+    // >= 64, silently discarding overflowed bits otherwise.
+    BASE_TIMEOUT
+        .checked_mul(1u64 << shift)
+        .unwrap_or(BACKOFF_CAP)
+        .min(BACKOFF_CAP)
 }
 
 /// The lost-request loop: while `lost(now, attempt)` says this attempt's
@@ -44,7 +65,6 @@ pub(crate) enum Request {
 /// producer of `FetchTimeout`/`BreakTimeout` events.
 pub(crate) fn retry_until_delivered(
     ctx: &mut ProcCtx,
-    policy: &RecoveryPolicy,
     rec: &Option<Arc<TraceRecorder>>,
     request: Request,
     delivery: Nanos,
@@ -55,7 +75,7 @@ pub(crate) fn retry_until_delivered(
     while lost(ctx.clock.now(), attempt) {
         emit(rec, || timeout_event(attempt));
         ctx.clock
-            .charge(TimeCategory::CommWait, delivery + policy.timeout(attempt));
+            .charge(TimeCategory::CommWait, delivery + timeout(attempt));
         let r = &mut ctx.tally.recovery;
         match request {
             Request::Fetch => {
@@ -148,6 +168,16 @@ impl RecoverySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn recovery_timeouts_back_off_exponentially_and_cap() {
+        assert_eq!(timeout(1), 60_000);
+        assert_eq!(timeout(2), 120_000);
+        assert_eq!(timeout(3), 240_000);
+        assert_eq!(timeout(5), 960_000, "hits the cap at 16x");
+        assert_eq!(timeout(6), 960_000, "stays capped");
+        assert_eq!(timeout(200), 960_000, "no overflow at silly attempts");
+    }
 
     /// A field `merge` (or `total`) forgets fails here: both literals name
     /// every field, each a distinct prime.

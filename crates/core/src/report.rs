@@ -7,8 +7,9 @@ use cashmere_obs::json::{self, push_str_escaped, Value};
 use cashmere_obs::ObsReport;
 use cashmere_sim::{Nanos, ProcClock, TimeBreakdown, TimeCategory};
 
-use crate::config::{ClusterConfig, ProtocolKind};
+use crate::config::ProtocolKind;
 use crate::recovery::{RecoveryCounts, RecoverySummary};
+use crate::run::RunSpec;
 
 /// The event counters of Table 3 ("Detailed statistics … at 32
 /// processors"). Plain integers: every processor counts into its own
@@ -161,7 +162,7 @@ pub struct Report {
     pub recovery: RecoverySummary,
     /// Observability results (spans, metrics registry, Figure-7 breakdown,
     /// link traffic). `None` unless the run had
-    /// [`crate::ClusterConfig::with_obs`] set.
+    /// [`crate::RunSpec::with_obs`] set.
     pub obs: Option<ObsReport>,
 }
 
@@ -169,7 +170,7 @@ impl Report {
     /// Assembles a report from the summed counters and the collected
     /// processor clocks.
     pub fn build<'a>(
-        cfg: &ClusterConfig,
+        cfg: &RunSpec,
         counters: Counters,
         clocks: impl IntoIterator<Item = &'a ProcClock>,
     ) -> Self {
@@ -385,7 +386,7 @@ mod tests {
 
     #[test]
     fn report_aggregates_clocks() {
-        let cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel);
+        let cfg = RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel);
         let counters = Counters {
             page_transfers: 7,
             ..Default::default()
@@ -407,7 +408,7 @@ mod tests {
     #[test]
     fn with_recovery_attaches_summary() {
         use crate::recovery::RecoveryCounts;
-        let cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel);
+        let cfg = RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel);
         let summary = RecoverySummary {
             per_node: vec![RecoveryCounts {
                 fetch_retries: 3,
@@ -426,7 +427,7 @@ mod tests {
     #[test]
     fn json_round_trip_is_exact() {
         use crate::recovery::RecoveryCounts;
-        let cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::OneLevelDiff);
+        let cfg = RunSpec::new(Topology::new(2, 2), ProtocolKind::OneLevelDiff);
         let counters = Counters {
             twin_creations: 11,
             data_bytes: 4096,
@@ -459,7 +460,7 @@ mod tests {
 
     #[test]
     fn json_round_trip_with_obs() {
-        let cfg = ClusterConfig::new(Topology::new(1, 2), ProtocolKind::TwoLevel);
+        let cfg = RunSpec::new(Topology::new(1, 2), ProtocolKind::TwoLevel);
         let mut obs = ObsReport::new();
         obs.procs = 4;
         obs.page_heat = vec![0, 3, 9];

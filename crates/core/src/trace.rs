@@ -1,6 +1,6 @@
 //! Protocol event tracing for the correctness auditor.
 //!
-//! When [`crate::ClusterConfig::audit`] is set, the engine and its
+//! When [`crate::RunSpec::audit`] is set, the engine and its
 //! subsystems emit a [`ProtocolEvent`] at every protocol transition —
 //! acquires, releases, page faults, twin creation, outgoing/incoming diffs,
 //! write-notice posts and drains, directory writes, exclusive-mode entry and

@@ -14,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cashmere_core::{Cluster, ClusterConfig, Proc, ProtocolKind, Topology};
+use cashmere_core::{Cluster, Proc, ProtocolKind, RunSpec, Topology};
 use cashmere_sim::ProcId;
 
 struct CountingAlloc;
@@ -54,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn assert_hot_path_allocation_free(obs: bool) {
-    let cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
+    let cfg = RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
         .with_heap_pages(4)
         .with_obs(obs);
     let cluster = Cluster::new(cfg);
@@ -103,7 +103,7 @@ fn det_burst(p: &mut Proc, base: usize, rounds: usize) {
 
 #[test]
 fn det_scheduler_steady_state_is_allocation_free() {
-    let cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
+    let cfg = RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
         .with_heap_pages(4)
         .with_det_parallel(2);
     let mut cluster = Cluster::new(cfg);
@@ -138,8 +138,7 @@ fn det_scheduler_steady_state_is_allocation_free() {
 /// an empty notice list, so once the carriers' interval lists are reserved
 /// a synchronization must not touch the heap at all.
 fn assert_idle_sync_allocation_free(topology: Topology, pairs: usize) {
-    let cluster =
-        Cluster::new(ClusterConfig::new(topology, ProtocolKind::TwoLevel).with_heap_pages(4));
+    let cluster = Cluster::new(RunSpec::new(topology, ProtocolKind::TwoLevel).with_heap_pages(4));
     let burst_allocs = AtomicU64::new(0);
     cluster.run(|p| {
         // Warm-up: the barrier's and the lock's virtual-time slot lists.

@@ -9,7 +9,7 @@
 use cashmere_core::directory::PermBits;
 use cashmere_core::engine::ProcCtx;
 use cashmere_core::report::Counters;
-use cashmere_core::{ClusterConfig, Engine, ProtocolKind, SyncSpec, Topology, PAGE_WORDS};
+use cashmere_core::{Engine, ProtocolKind, RunSpec, SyncSpec, Topology, PAGE_WORDS};
 use cashmere_sim::ProcId;
 
 /// Table 3 counters summed over the contexts a test drives (each processor
@@ -24,7 +24,7 @@ fn counted(ctxs: &[&ProcCtx]) -> Counters {
 
 /// 2 nodes × 2 processors, two-level protocol, first-touch homing.
 fn engine() -> std::sync::Arc<Engine> {
-    let cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
+    let cfg = RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
         .with_heap_pages(8)
         .with_sync(SyncSpec {
             locks: 2,
@@ -159,7 +159,7 @@ fn release_flush_merges_into_master_and_downgrades() {
 #[test]
 fn exclusive_mode_entry_and_break_via_nle() {
     // Superpage granularity 2 so a non-home private page exists.
-    let mut cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
+    let mut cfg = RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
         .with_heap_pages(8)
         .with_sync(SyncSpec {
             locks: 2,
@@ -308,7 +308,7 @@ fn two_way_diffing_on_fetch_preserves_unflushed_local_words() {
 
 #[test]
 fn shootdown_variant_downgrades_concurrent_writers_on_fetch() {
-    let cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevelShootdown)
+    let cfg = RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevelShootdown)
         .with_heap_pages(8)
         .with_sync(SyncSpec {
             locks: 2,
@@ -354,7 +354,7 @@ fn one_level_release_enters_exclusive_when_unshared() {
     // exclusive mode at the writer's release (§2.6). The page's home
     // (protocol node 0 via p0's superpage first touch) must be a third
     // party: home mappings never invalidate, so the reader is p2.
-    let mut cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::OneLevelDiff)
+    let mut cfg = RunSpec::new(Topology::new(2, 2), ProtocolKind::OneLevelDiff)
         .with_heap_pages(8)
         .with_sync(SyncSpec {
             locks: 2,
@@ -399,7 +399,7 @@ fn one_level_release_enters_exclusive_when_unshared() {
 
 #[test]
 fn write_through_protocol_needs_no_twins_and_master_is_always_current() {
-    let cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::OneLevelWrite)
+    let cfg = RunSpec::new(Topology::new(2, 2), ProtocolKind::OneLevelWrite)
         .with_heap_pages(8)
         .with_sync(SyncSpec {
             locks: 2,

@@ -19,7 +19,7 @@
 use cashmere_core::directory::PermBits;
 use cashmere_core::engine::ProcCtx;
 use cashmere_core::report::Counters;
-use cashmere_core::{ClusterConfig, Engine, ProtocolKind, SyncSpec, Topology, PAGE_WORDS};
+use cashmere_core::{Engine, ProtocolKind, RunSpec, SyncSpec, Topology, PAGE_WORDS};
 use cashmere_sim::ProcId;
 
 /// Table 3 counters summed over the contexts a test drives (each processor
@@ -35,7 +35,7 @@ fn counted(ctxs: &[&ProcCtx]) -> Counters {
 /// 3 nodes × 1 processor, two pages per superpage so page 1 shares page 0's
 /// first-touch home (node 0) and every remote node is a clean third party.
 fn engine() -> std::sync::Arc<Engine> {
-    let mut cfg = ClusterConfig::new(Topology::new(3, 1), ProtocolKind::TwoLevel)
+    let mut cfg = RunSpec::new(Topology::new(3, 1), ProtocolKind::TwoLevel)
         .with_heap_pages(8)
         .with_sync(SyncSpec {
             locks: 2,

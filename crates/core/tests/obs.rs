@@ -1,14 +1,14 @@
-//! End-to-end observability: enabling [`ClusterConfig::obs`] must not
+//! End-to-end observability: enabling [`RunSpec::obs`] must not
 //! change virtual time by a single nanosecond, and the merged
 //! [`ObsReport`] must account every charged nanosecond and hold one
 //! latency sample per event the processors' tallies counted.
 
-use cashmere_core::{Cluster, ClusterConfig, ProtocolKind, SyncSpec, Topology};
+use cashmere_core::{Cluster, ProtocolKind, RunSpec, SyncSpec, Topology};
 use cashmere_obs::SpanKind;
 use cashmere_sim::ProcId;
 
-fn cfg(obs: bool) -> ClusterConfig {
-    ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
+fn cfg(obs: bool) -> RunSpec {
+    RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
         .with_heap_pages(8)
         .with_sync(SyncSpec {
             locks: 4,

@@ -5,7 +5,7 @@
 //! unavailable); every case is reproducible from its seed.
 
 use cashmere_core::directory::{DirWord, PermBits};
-use cashmere_core::{Cluster, ClusterConfig, ProtocolKind, SyncSpec, Topology, PAGE_WORDS};
+use cashmere_core::{Cluster, ProtocolKind, RunSpec, SyncSpec, Topology, PAGE_WORDS};
 use cashmere_sim::Resource;
 
 /// SplitMix64: tiny, high-quality, stateless-seedable PRNG.
@@ -79,7 +79,7 @@ fn drf_program_result(
 ) -> Vec<u64> {
     let procs = nodes * ppn;
     let words = procs * stride;
-    let cfg = ClusterConfig::new(Topology::new(nodes, ppn), protocol)
+    let cfg = RunSpec::new(Topology::new(nodes, ppn), protocol)
         .with_heap_pages(words.div_ceil(PAGE_WORDS) + 2)
         .with_sync(SyncSpec {
             locks: 1,

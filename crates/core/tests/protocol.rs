@@ -2,10 +2,10 @@
 //! multiple concurrent writers, exclusive mode, two-way diffing, and
 //! cross-protocol agreement.
 
-use cashmere_core::{Cluster, ClusterConfig, ProtocolKind, SyncSpec, Topology, PAGE_WORDS};
+use cashmere_core::{Cluster, ProtocolKind, RunSpec, SyncSpec, Topology, PAGE_WORDS};
 
 fn cluster(protocol: ProtocolKind, nodes: usize, ppn: usize) -> Cluster {
-    let cfg = ClusterConfig::new(Topology::new(nodes, ppn), protocol)
+    let cfg = RunSpec::new(Topology::new(nodes, ppn), protocol)
         .with_heap_pages(32)
         .with_sync(SyncSpec {
             locks: 8,
@@ -156,7 +156,7 @@ fn private_pages_enter_exclusive_mode_and_reads_break_them() {
     // Proc 0 first-touches page 0 of a superpage (homing the whole
     // superpage on node 0); proc 3 (node 1) then privately writes page 1 of
     // that superpage, entering exclusive mode.
-    let mut cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
+    let mut cfg = RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
         .with_heap_pages(32)
         .with_sync(SyncSpec {
             locks: 8,
@@ -202,7 +202,7 @@ fn private_pages_enter_exclusive_mode_and_reads_break_them() {
 fn exclusive_pages_incur_no_flushes_while_private() {
     // A non-home processor hammering pages nobody else shares should hold
     // them exclusive: no twins, no write notices, despite lock releases.
-    let mut cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
+    let mut cfg = RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
         .with_heap_pages(32)
         .with_sync(SyncSpec {
             locks: 8,

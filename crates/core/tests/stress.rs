@@ -3,10 +3,10 @@
 //! These loops reproduced two real timestamp-ordering bugs in the acquire
 //! path before they were fixed; keep them hot.
 
-use cashmere_core::{Cluster, ClusterConfig, ProtocolKind, SyncSpec, Topology, PAGE_WORDS};
+use cashmere_core::{Cluster, ProtocolKind, RunSpec, SyncSpec, Topology, PAGE_WORDS};
 
 fn rotating_writer_round_trip(protocol: ProtocolKind, rounds: usize) {
-    let cfg = ClusterConfig::new(Topology::new(2, 2), protocol)
+    let cfg = RunSpec::new(Topology::new(2, 2), protocol)
         .with_heap_pages(8)
         .with_sync(SyncSpec {
             locks: 2,
@@ -76,7 +76,7 @@ fn barrier_storm_with_page_ping_pong() {
     // by a proc on the other node, with barriers between — a ping-pong of
     // invalidations and fetches on one page.
     for _ in 0..10 {
-        let cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
+        let cfg = RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
             .with_heap_pages(4)
             .with_sync(SyncSpec {
                 locks: 1,

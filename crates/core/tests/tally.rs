@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use cashmere_core::{
-    Cluster, ClusterConfig, Engine, FaultKind, FaultPlan, FaultRule, ProtocolEvent, ProtocolKind,
-    RecoveryCounts, SyncSpec, Topology, PAGE_WORDS,
+    Cluster, Engine, FaultKind, FaultPlan, FaultRule, ProtocolEvent, ProtocolKind, RecoveryCounts,
+    RunSpec, SyncSpec, Topology, PAGE_WORDS,
 };
 use cashmere_sim::ProcId;
 
@@ -27,8 +27,8 @@ fn lossy_plan() -> Arc<FaultPlan> {
 }
 
 /// 2 nodes × 2 processors under the lossy plan, audited.
-fn faulted_2x2() -> ClusterConfig {
-    let mut cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
+fn faulted_2x2() -> RunSpec {
+    let mut cfg = RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
         .with_heap_pages(8)
         .with_sync(SyncSpec {
             locks: 2,

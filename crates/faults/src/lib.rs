@@ -333,7 +333,7 @@ impl std::fmt::Debug for Compiled {
 
 /// A seeded, declarative fault schedule. Build with [`FaultPlan::new`] and
 /// [`FaultPlan::with_rule`], share via `Arc`, and hand to
-/// `ClusterConfig::with_faults`. See the crate docs for the determinism
+/// `RunSpec::with_faults`. See the crate docs for the determinism
 /// contract.
 #[derive(Debug)]
 pub struct FaultPlan {

@@ -130,11 +130,6 @@ impl TransportConfig {
         self
     }
 
-    /// The configured backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
     /// Builds the channel.
     ///
     /// # Panics
@@ -147,6 +142,7 @@ impl TransportConfig {
             "endpoint mapped to nonexistent link"
         );
         MemoryChannel {
+            backend: self.backend,
             cost: self.cost.unwrap_or_else(|| self.backend.cost_model()),
             links: (0..self.links).map(|_| Resource::new()).collect(),
             link_of: self.link_of,
@@ -255,6 +251,9 @@ impl Region {
 /// The simulated network: a set of regions shared by `endpoints` protocol
 /// nodes, with `links` physical PCI links.
 pub struct MemoryChannel {
+    /// Which interconnect this channel stands for: selects the page-fetch
+    /// shape (and, unless overridden, the cost table).
+    backend: Backend,
     cost: CostModel,
     /// Physical link index for each endpoint.
     link_of: Vec<usize>,
@@ -269,6 +268,11 @@ pub struct MemoryChannel {
 }
 
 impl MemoryChannel {
+    /// The interconnect this channel stands for.
+    pub fn backend(&self) -> Backend {
+        self.backend
+    }
+
     /// Number of endpoints.
     pub fn endpoints(&self) -> usize {
         self.link_of.len()

@@ -14,7 +14,7 @@
 //!   read clocks, so enabling observability cannot move a single virtual
 //!   nanosecond and the deterministic goldens stay byte-identical.
 //! * **Free when off**: the engine stores `Option<Box<ProcObs>>` per
-//!   processor (`None` unless `ClusterConfig::with_obs`), so the disabled
+//!   processor (`None` unless `RunSpec::with_obs`), so the disabled
 //!   cost is one discriminant test per hook site and zero allocations.
 //!
 //! Layering: this crate depends only on `cashmere-sim`, so both `memchan`

@@ -1,42 +1,47 @@
-//! Pluggable interconnect backends behind one [`Transport`] trait
-//! (DESIGN.md §14).
+//! The interconnect behind one [`Transport`] trait (DESIGN.md §14).
 //!
-//! The coherence engine and the directory never talk to
-//! [`MemoryChannel`] directly any more — they talk to `dyn Transport`,
-//! which covers exactly the operations they call: region create/attach,
-//! remote word and run writes, tree broadcast and charging, bulk link
-//! charges, local reads, and the page-fetch data movement. (The channel's
-//! other entry points — block and sparse writes, the manual local double —
-//! stay inherent methods of [`MemoryChannel`], where their only callers
-//! are.) Three implementations exist:
+//! The coherence engine and the directory talk to `dyn Transport`, which
+//! covers exactly the operations they call: region create/attach, remote
+//! word and run writes, tree broadcast and charging, bulk link charges,
+//! local reads, and the page-fetch data movement. (The channel's other
+//! entry points — block and sparse writes, the manual local double — stay
+//! inherent methods of [`MemoryChannel`], where their only callers are.)
 //!
-//! * [`MemoryChannel`] itself ([`Backend::MemoryChannel`]) — the paper's
-//!   1997 remote-write-only network. Fetches are request/reply
-//!   ([`FetchShape::RequestReply`]); every virtual-time path is
-//!   byte-identical to the pre-trait simulator, which the committed
-//!   goldens prove.
-//! * [`RdmaTransport`] ([`Backend::Rdma`]) — a 2026-class RDMA NIC with
-//!   one-sided reads *and* writes. The data plane is the same ordered
-//!   region machinery (delegated to an inner channel carrying
-//!   [`CostModel::rdma`]), but fetches become **direct remote reads**
-//!   ([`FetchShape::DirectRead`]): no request delivery, no home-side CPU,
-//!   just wire time plus the read-completion latency.
-//! * [`CxlTransport`] ([`Backend::Cxl`]) — CXL/disaggregated far memory
-//!   ([`CostModel::cxl`]): load/store granularity, direct reads with zero
-//!   per-message software overhead.
+//! There is one fabric implementation, [`MemoryChannel`], and a backend is
+//! data it carries ([`MemoryChannel::backend`]): a cost table
+//! ([`Backend::cost_model`]) and a page-fetch shape
+//! ([`Backend::fetch_shape`]).
 //!
-//! Fault injection interposes on **every** backend: all three delegate
-//! their link reservations to the same fault-interposed path inside the
+//! * [`Backend::MemoryChannel`] — the paper's 1997 remote-write-only
+//!   network. Fetches are request/reply ([`FetchShape::RequestReply`]);
+//!   every virtual-time path is byte-identical to the pre-trait simulator,
+//!   which the committed goldens prove.
+//! * [`Backend::Rdma`] — a 2026-class RDMA NIC with one-sided reads *and*
+//!   writes ([`CostModel::rdma`]). Same ordered region machinery, but
+//!   fetches become **direct remote reads** ([`FetchShape::DirectRead`]):
+//!   no request delivery, no home-side CPU, just wire time plus the
+//!   read-completion latency.
+//! * [`Backend::Cxl`] — CXL/disaggregated far memory ([`CostModel::cxl`]):
+//!   load/store granularity, direct reads with zero per-message software
+//!   overhead.
+//!
+//! Fault injection interposes on every backend alike: every link
+//! reservation goes through the same fault-interposed path inside the
 //! channel, so a drop/duplicate/delay/outage plan perturbs RDMA and CXL
 //! schedules exactly as it perturbs Memory Channel ones. The conformance
-//! battery in `tests/conformance.rs` holds each implementation to the
-//! shared contract (write visibility, charge determinism, fault
-//! interposition, same-seed replay identity).
+//! battery in `tests/conformance.rs` holds each backend to the shared
+//! contract (write visibility, charge determinism, fault interposition,
+//! same-seed replay identity).
+//!
+//! The trait has one implementor and stays only because the repo
+//! benchmark (`benchmark/src/layers.rs`) pins `Transport`,
+//! [`build_transport`] and `Arc<dyn Transport>`; removing it is ROADMAP
+//! item 3(a), after item 0 unpins them.
 
 use std::sync::Arc;
 
 use cashmere_memchan::{MemoryChannel, RegionId, RxBuffer, TransportConfig};
-use cashmere_sim::{Backend, CostModel, FetchShape, Nanos};
+use cashmere_sim::{CostModel, FetchShape, Nanos};
 
 /// The operations the coherence engine and directory need from an
 /// interconnect. Object-safe: the engine holds an `Arc<dyn Transport>`.
@@ -155,121 +160,26 @@ impl Transport for MemoryChannel {
         MemoryChannel::charge_tree(self, from, targets, fanout, bytes, now)
     }
     fn fetch_shape(&self) -> FetchShape {
-        FetchShape::RequestReply
+        self.backend().fetch_shape()
     }
     fn fetch_data(&self, home: usize, bytes: u64, now: Nanos) -> Nanos {
-        // The home node's reply is an ordinary one-sided remote write of
-        // the page: the same charge as any other modeled bulk transfer.
-        MemoryChannel::charge_link(self, home, bytes, now)
+        match self.backend().fetch_shape() {
+            // The home node's reply is an ordinary one-sided remote write
+            // of the page: the same charge as any other modeled bulk
+            // transfer.
+            FetchShape::RequestReply => MemoryChannel::charge_link(self, home, bytes, now),
+            // One-sided read: pull the page over the (fault-interposed)
+            // link and pay the read-completion latency. No request
+            // delivery, no reply, no home-side CPU.
+            FetchShape::DirectRead => {
+                self.reserve(home, bytes, now) + self.cost().remote_read_latency
+            }
+        }
     }
 }
 
-/// Generates a [`Transport`] impl for a newtype over [`MemoryChannel`]
-/// whose data plane is the inner channel (same ordered regions, same fault
-/// interposition, same traffic counters — with the backend's own cost
-/// model) but whose page fetches are **direct remote reads**.
-macro_rules! direct_read_transport {
-    ($ty:ident) => {
-        impl $ty {
-            /// Wraps a channel (built with this backend's cost model).
-            pub fn new(inner: MemoryChannel) -> Self {
-                Self(inner)
-            }
-        }
-
-        impl Transport for $ty {
-            fn cost(&self) -> &CostModel {
-                self.0.cost()
-            }
-            fn create_region(&self, words: usize, loopback: bool) -> RegionId {
-                self.0.create_region(words, loopback)
-            }
-            fn attach_rx(&self, r: RegionId, endpoint: usize) {
-                self.0.attach_rx(r, endpoint);
-            }
-            fn rx_buffer(&self, r: RegionId, endpoint: usize) -> Option<RxBuffer> {
-                self.0.rx_buffer(r, endpoint)
-            }
-            fn read_local(&self, r: RegionId, endpoint: usize, offset: usize) -> u64 {
-                self.0.read_local(r, endpoint, offset)
-            }
-            fn write(
-                &self,
-                r: RegionId,
-                from: usize,
-                offset: usize,
-                val: u64,
-                now: Nanos,
-            ) -> Nanos {
-                self.0.write(r, from, offset, val, now)
-            }
-            fn write_runs(
-                &self,
-                r: RegionId,
-                from: usize,
-                runs: &[(u32, &[u64])],
-                now: Nanos,
-            ) -> Nanos {
-                self.0.write_runs(r, from, runs.iter().copied(), now)
-            }
-            fn write_tree(
-                &self,
-                r: RegionId,
-                from: usize,
-                offset: usize,
-                val: u64,
-                fanout: usize,
-                now: Nanos,
-            ) -> Nanos {
-                self.0.write_tree(r, from, offset, val, fanout, now)
-            }
-            fn charge_link(&self, from: usize, bytes: u64, now: Nanos) -> Nanos {
-                self.0.charge_link(from, bytes, now)
-            }
-            fn charge_tree(
-                &self,
-                from: usize,
-                targets: &[usize],
-                fanout: usize,
-                bytes: u64,
-                now: Nanos,
-            ) -> Nanos {
-                self.0.charge_tree(from, targets, fanout, bytes, now)
-            }
-            fn fetch_shape(&self) -> FetchShape {
-                FetchShape::DirectRead
-            }
-            fn fetch_data(&self, home: usize, bytes: u64, now: Nanos) -> Nanos {
-                // One-sided read: pull the page over the (fault-interposed)
-                // link and pay the read-completion latency. No request
-                // delivery, no reply, no home-side CPU.
-                self.0.reserve(home, bytes, now) + self.0.cost().remote_read_latency
-            }
-        }
-    };
-}
-
-/// RDMA-like backend ([`CostModel::rdma`]): sub-µs one-sided reads and
-/// writes; page fetches are direct remote reads with a per-read descriptor
-/// post/poll cost charged by the protocol layer
-/// ([`CostModel::fetch_direct_fixed`]).
-pub struct RdmaTransport(MemoryChannel);
-direct_read_transport!(RdmaTransport);
-
-/// CXL/disaggregated-memory-like backend ([`CostModel::cxl`]): load/store
-/// far memory; direct reads with zero per-message software overhead.
-pub struct CxlTransport(MemoryChannel);
-direct_read_transport!(CxlTransport);
-
-/// Builds the transport a [`TransportConfig`] describes, dispatching on its
-/// [`Backend`]. This is the one assembly point the engine (and every test
-/// harness) uses.
+/// Builds the transport a [`TransportConfig`] describes. This is the one
+/// assembly point the engine (and every test harness) uses.
 pub fn build_transport(cfg: TransportConfig) -> Arc<dyn Transport> {
-    let backend = cfg.backend();
-    let chan = cfg.build_channel();
-    match backend {
-        Backend::MemoryChannel => Arc::new(chan),
-        Backend::Rdma => Arc::new(RdmaTransport::new(chan)),
-        Backend::Cxl => Arc::new(CxlTransport::new(chan)),
-    }
+    Arc::new(cfg.build_channel())
 }

@@ -7,11 +7,11 @@
 //!     cargo run --example audit
 
 use cashmere::check::audit;
-use cashmere::{Cluster, ClusterConfig, ProtocolEvent, ProtocolKind, SyncSpec, Topology};
+use cashmere::{Cluster, ProtocolEvent, ProtocolKind, RunSpec, SyncSpec, Topology};
 
 fn main() {
     // 2 nodes × 2 processors, two-level protocol, auditing on.
-    let cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
+    let cfg = RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
         .with_heap_pages(4)
         .with_sync(SyncSpec {
             locks: 4,
@@ -58,10 +58,7 @@ fn main() {
     assert!(!bad.is_clean(), "the tampered trace must not audit clean");
 
     // Auditing is off by default: no recorder, no events, no cost.
-    let mut plain = Cluster::new(ClusterConfig::new(
-        Topology::new(2, 2),
-        ProtocolKind::TwoLevel,
-    ));
+    let mut plain = Cluster::new(RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel));
     let a = plain.alloc(1);
     plain.run(|p| {
         p.lock(0);

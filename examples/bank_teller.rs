@@ -11,12 +11,12 @@
 //! Run with: `cargo run --release --example bank_teller`
 
 use cashmere::apps::{run_app, BankOltp, Benchmark, Scale};
-use cashmere::{ClusterConfig, ProtocolKind, Topology};
+use cashmere::{ProtocolKind, RunSpec, Topology};
 
 fn main() {
     let app = BankOltp::new(Scale::Test);
-    let cfg = ClusterConfig::new(Topology::new(4, 2), ProtocolKind::TwoLevel);
-    let out = run_app(&app, cfg);
+    let cfg = RunSpec::new(Topology::new(4, 2), ProtocolKind::TwoLevel);
+    let out = run_app(&app, &cfg).0;
 
     assert_eq!(
         out.checksum,

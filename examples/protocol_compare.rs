@@ -3,10 +3,10 @@
 //!
 //! Run with: `cargo run --release --example protocol_compare`
 
-use cashmere::{Cluster, ClusterConfig, ProtocolKind, SyncSpec, Topology, PAGE_WORDS};
+use cashmere::{Cluster, ProtocolKind, RunSpec, SyncSpec, Topology, PAGE_WORDS};
 
 fn run(protocol: ProtocolKind) -> (f64, u64, u64) {
-    let cfg = ClusterConfig::new(Topology::new(4, 4), protocol)
+    let cfg = RunSpec::new(Topology::new(4, 4), protocol)
         .with_heap_pages(32)
         .with_sync(SyncSpec {
             locks: 4,

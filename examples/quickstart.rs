@@ -2,12 +2,12 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use cashmere::{Cluster, ClusterConfig, ProtocolKind, Topology};
+use cashmere::{Cluster, ProtocolKind, RunSpec, Topology};
 
 fn main() {
     // The paper's full platform: eight 4-processor AlphaServer nodes.
     let topo = Topology::new(8, 4);
-    let cfg = ClusterConfig::new(topo, ProtocolKind::TwoLevel).with_heap_pages(16);
+    let cfg = RunSpec::new(topo, ProtocolKind::TwoLevel).with_heap_pages(16);
     let mut cluster = Cluster::new(cfg);
 
     // Shared memory is allocated before the run and addressed by word.

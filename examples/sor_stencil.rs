@@ -3,12 +3,12 @@
 //!
 //! Run with: `cargo run --release --example sor_stencil`
 
-use cashmere::{Cluster, ClusterConfig, ProtocolKind, SyncSpec, Topology};
+use cashmere::{Cluster, ProtocolKind, RunSpec, SyncSpec, Topology};
 
 fn run_sor(nodes: usize, ppn: usize) -> (f64, u64) {
     let n = 64usize; // n×n interior grid
     let cols = n + 2;
-    let cfg = ClusterConfig::new(Topology::new(nodes, ppn), ProtocolKind::TwoLevel)
+    let cfg = RunSpec::new(Topology::new(nodes, ppn), ProtocolKind::TwoLevel)
         .with_heap_pages(((n + 2) * cols / 1024) + 4)
         .with_sync(SyncSpec {
             locks: 1,

@@ -2,10 +2,10 @@
 # Runs the gates: builds the release tree and hands every argument to the
 # `gate` binary (crates/bench/src/bin/gate.rs).
 #
-#   scripts/gate.sh                           # all seven gates, seed 24301
-#   scripts/gate.sh wallclock --obs --trace Water:2L
+#   scripts/gate.sh                           # every gate, seed 24301
+#   scripts/gate.sh obsgate --trace Water:2L
 #   scripts/gate.sh soak service --seed 12345 --backend rdma
-#   WALLCLOCK_BASELINE=1 scripts/gate.sh wallclock   # (re)capture goldens + baseline
+#   GOLDEN_CAPTURE=1 scripts/gate.sh golden   # (re)capture results/vt_golden.jsonl
 #
 # README.md "Running the gates" lists each gate's phases and artifact.
 # CASHMERE_JOBS bounds how many cells of an untimed sweep run at once

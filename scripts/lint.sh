@@ -19,9 +19,17 @@
 #       recovery path that panics turns the injected fault into a crash.
 #   env knobs — std::env::var{,_os} is banned under crates/ outside
 #       crates/bench (the gate CLI) and crates/shims/model (the explorer's
-#       budget/replay switches): behaviour is configured through
-#       ClusterConfig/RunSpec, and diagnostics go through the typed audit
-#       trace, so debug switches cannot grow back.
+#       budget/replay switches): behaviour is configured through RunSpec,
+#       and diagnostics go through the typed audit trace, so debug switches
+#       cannot grow back.
+#   knob census — RunSpec is the only run configuration. (i) The names of
+#       the second configuration type, its assembly pass and the
+#       per-backend transport newtypes may not reappear in code, so no
+#       compat alias can grow back. (ii) Every `pub` field of RunSpec must
+#       be set — assigned (`.f =`) or passed to the builder that assigns
+#       it — by at least one non-test, non-comment line outside
+#       crates/core/src/run.rs; a field nobody sets is a dead knob and the
+#       lint names it.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -123,10 +131,54 @@ echo "lint(recovery-no-panic): recovery paths free of unwrap/expect"
 env_knobs="$(grep -rnE --include='*.rs' 'env::var(_os)?\(' crates \
     | grep -vE '^crates/(bench|shims/model)/' || true)"
 if [[ -n "$env_knobs" ]]; then
-    echo "FAIL lint(env-knobs): std::env::var is banned under crates/ outside crates/bench and crates/shims/model (add a ClusterConfig/RunSpec field, or use the audit trace)" >&2
+    echo "FAIL lint(env-knobs): std::env::var is banned under crates/ outside crates/bench and crates/shims/model (add a RunSpec field, or use the audit trace)" >&2
     echo "$env_knobs" >&2
     fail=1
 fi
 echo "lint(env-knobs): no environment variables read outside crates/bench and crates/shims/model"
+
+# --- knob census: one configuration type, no dead fields -------------------
+
+gone='ClusterConfig|to_config_with|with_det_quantum|DET_QUANTUM_DEFAULT|RdmaTransport|CxlTransport|direct_read_transport'
+revived="$(grep -rnE --include='*.rs' "$gone" crates src tests examples || true)"
+if [[ -n "$revived" ]]; then
+    echo "FAIL lint(knob-census): a deleted configuration name is back (RunSpec is the only run configuration; MemoryChannel the only fabric)" >&2
+    echo "$revived" >&2
+    fail=1
+fi
+
+run_rs=crates/core/src/run.rs
+# `field builder` pairs: which `pub fn` of `impl RunSpec` assigns which field
+# (`self.f = …`), plus the fields `new` takes as arguments (struct-literal
+# shorthand), which `RunSpec::new(` sets.
+setters="$(awk '
+    /^impl RunSpec/ { in_impl = 1 }
+    in_impl && /^}/ { exit }
+    in_impl && /pub fn [a-z_]+\(/ { name = $0; sub(/.*pub fn /, "", name); sub(/\(.*/, "", name) }
+    in_impl && name != "new" && /self\.[a-z_]+ = / { f = $0; sub(/.*self\./, "", f); sub(/ = .*/, "", f); print f, "[^a-z_]" name "\\(" }
+    in_impl && name == "new" && /^ +[a-z_]+,$/ { f = $1; sub(/,/, "", f); print f, "RunSpec::new\\(" }
+' "$run_rs")"
+fields="$(awk '
+    /^pub struct RunSpec/ { on = 1; next }
+    on && /^}/ { exit }
+    on && /^    pub [a-z_]+:/ { f = $2; sub(/:/, "", f); print f }
+' "$run_rs")"
+# Non-test code: everything outside tests/ directories and run.rs itself,
+# each file cut at its first #[cfg(test)], comment lines dropped.
+census_src="$(find crates src examples -name '*.rs' -not -path '*/tests/*' -not -path "$run_rs" \
+    -exec awk 'FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 } live && !/^ *\/\//' {} +)"
+n_fields=0
+for f in $fields; do
+    n_fields=$((n_fields + 1))
+    pat="\\.$f *=[^=]"
+    while read -r field builder; do
+        [[ "$field" == "$f" ]] && pat="$pat|$builder"
+    done <<<"$setters"
+    if ! grep -qE "$pat" <<<"$census_src"; then
+        echo "FAIL lint(knob-census): RunSpec::$f is never set outside $run_rs and tests — a dead knob; make it a constant" >&2
+        fail=1
+    fi
+done
+echo "lint(knob-census): one configuration type; $n_fields RunSpec fields checked for a non-test setter"
 
 exit "$fail"

@@ -3,9 +3,10 @@
 //!
 //! This facade crate re-exports the whole public API:
 //!
-//! * [`core`](cashmere_core) — the coherence protocols ([`Cluster`],
-//!   [`Proc`], [`ClusterConfig`], [`ProtocolKind`], …);
-//! * [`apps`](cashmere_apps) — the eight-application benchmark suite;
+//! * [`core`](cashmere_core) — the coherence protocols: [`RunSpec`] (the
+//!   one description of a run), [`Cluster`], [`Proc`], [`ProtocolKind`], …;
+//! * [`apps`](cashmere_apps) — the eight-application benchmark suite and
+//!   [`apps::run_app`], the one way to run an application on a spec;
 //! * [`check`](cashmere_check) — the protocol invariant auditor
 //!   (vector-clock happens-before replay over audit traces);
 //! * the substrates: [`sim`](cashmere_sim) (virtual time, cost model,

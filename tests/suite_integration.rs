@@ -2,7 +2,7 @@
 //! across protocols and topologies through the facade crate.
 
 use cashmere::apps::{run_app, suite, Scale};
-use cashmere::{ClusterConfig, DirectoryMode, Messaging, ProtocolKind, Topology};
+use cashmere::{DirectoryMode, Messaging, ProtocolKind, RunSpec, Topology};
 
 /// Every deterministic application produces the same checksum under every
 /// protocol at a fixed processor count (8 processors, 4:2 vs 8:1 shapes).
@@ -11,14 +11,16 @@ fn suite_checksums_agree_across_protocols_and_shapes() {
     for app in suite(Scale::Test) {
         let base = run_app(
             app.as_ref(),
-            ClusterConfig::new(Topology::new(8, 1), ProtocolKind::TwoLevel),
-        );
+            &RunSpec::new(Topology::new(8, 1), ProtocolKind::TwoLevel),
+        )
+        .0;
         for protocol in ProtocolKind::ALL {
             for (nodes, ppn) in [(4, 2), (2, 4)] {
                 let out = run_app(
                     app.as_ref(),
-                    ClusterConfig::new(Topology::new(nodes, ppn), protocol),
-                );
+                    &RunSpec::new(Topology::new(nodes, ppn), protocol),
+                )
+                .0;
                 if app.deterministic() {
                     assert_eq!(
                         out.checksum,
@@ -41,7 +43,7 @@ fn tsp_is_optimal_under_all_protocols() {
     let app = cashmere::apps::Tsp::new(Scale::Test);
     let optimal = app.brute_force();
     for protocol in ProtocolKind::ALL {
-        let out = run_app(&app, ClusterConfig::new(Topology::new(2, 4), protocol));
+        let out = run_app(&app, &RunSpec::new(Topology::new(2, 4), protocol)).0;
         assert_eq!(out.checksum, optimal, "{}", protocol.label());
     }
 }
@@ -50,13 +52,14 @@ fn tsp_is_optimal_under_all_protocols() {
 #[test]
 fn global_lock_ablation_preserves_results() {
     for app in suite(Scale::Test) {
-        let mut cfg = ClusterConfig::new(Topology::new(2, 4), ProtocolKind::TwoLevel);
-        cfg.directory = DirectoryMode::GlobalLock;
-        let locked = run_app(app.as_ref(), cfg);
+        let cfg = RunSpec::new(Topology::new(2, 4), ProtocolKind::TwoLevel)
+            .with_directory(DirectoryMode::GlobalLock);
+        let locked = run_app(app.as_ref(), &cfg).0;
         let free = run_app(
             app.as_ref(),
-            ClusterConfig::new(Topology::new(2, 4), ProtocolKind::TwoLevel),
-        );
+            &RunSpec::new(Topology::new(2, 4), ProtocolKind::TwoLevel),
+        )
+        .0;
         if app.deterministic() {
             assert_eq!(locked.checksum, free.checksum, "{}", app.name());
         }
@@ -67,13 +70,14 @@ fn global_lock_ablation_preserves_results() {
 #[test]
 fn interrupt_messaging_preserves_results() {
     for app in suite(Scale::Test) {
-        let mut cfg = ClusterConfig::new(Topology::new(2, 4), ProtocolKind::TwoLevelShootdown);
-        cfg.cost.messaging = Messaging::Interrupt;
-        let intr = run_app(app.as_ref(), cfg);
+        let cfg = RunSpec::new(Topology::new(2, 4), ProtocolKind::TwoLevelShootdown)
+            .with_messaging(Messaging::Interrupt);
+        let intr = run_app(app.as_ref(), &cfg).0;
         let poll = run_app(
             app.as_ref(),
-            ClusterConfig::new(Topology::new(2, 4), ProtocolKind::TwoLevelShootdown),
-        );
+            &RunSpec::new(Topology::new(2, 4), ProtocolKind::TwoLevelShootdown),
+        )
+        .0;
         if app.deterministic() {
             assert_eq!(intr.checksum, poll.checksum, "{}", app.name());
         }
@@ -88,12 +92,14 @@ fn two_level_moves_less_data_than_one_level() {
     for app in suite(Scale::Test) {
         let two = run_app(
             app.as_ref(),
-            ClusterConfig::new(Topology::new(2, 4), ProtocolKind::TwoLevel),
-        );
+            &RunSpec::new(Topology::new(2, 4), ProtocolKind::TwoLevel),
+        )
+        .0;
         let one = run_app(
             app.as_ref(),
-            ClusterConfig::new(Topology::new(2, 4), ProtocolKind::OneLevelDiff),
-        );
+            &RunSpec::new(Topology::new(2, 4), ProtocolKind::OneLevelDiff),
+        )
+        .0;
         assert!(
             two.report.counters.page_transfers <= one.report.counters.page_transfers,
             "{}: 2L transfers {} vs 1LD {}",
@@ -111,13 +117,10 @@ fn two_level_moves_less_data_than_one_level() {
 /// and the mutation self-tests live in `crates/check/tests/`.)
 #[test]
 fn suite_audit_traces_are_clean() {
-    use cashmere::Cluster;
     for app in suite(Scale::Test) {
         for protocol in [ProtocolKind::TwoLevel, ProtocolKind::TwoLevelShootdown] {
-            let mut cfg = ClusterConfig::new(Topology::new(2, 4), protocol).with_audit(true);
-            app.configure(&mut cfg);
-            let mut cluster = Cluster::new(cfg);
-            app.execute(&mut cluster);
+            let spec = RunSpec::new(Topology::new(2, 4), protocol).with_audit(true);
+            let (_, cluster) = run_app(app.as_ref(), &spec);
             let report = cashmere::check::audit(&cluster.take_trace());
             assert!(
                 report.is_clean(),
@@ -137,8 +140,9 @@ fn report_accounting_is_consistent() {
     let app = cashmere::apps::Sor::new(Scale::Test);
     let out = run_app(
         &app,
-        ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel),
-    );
+        &RunSpec::new(Topology::new(2, 2), ProtocolKind::TwoLevel),
+    )
+    .0;
     let r = &out.report;
     assert_eq!(r.procs, 4);
     assert_eq!(r.per_proc_ns.len(), 4);
