@@ -195,23 +195,23 @@ fn excl_unpack(v: u64) -> Option<(usize, u16)> {
     (v & 1 == 1).then_some((((v >> 8) & 0xFFFF) as usize, ((v >> 32) & 0xFFFF) as u16))
 }
 
-/// Charge-free directory traffic accounting, in modeled wire bytes. These
-/// counters feed the scaling experiment (`BENCH_scaling.json`) and are NOT
-/// part of [`crate::report::Counters`] — the golden-pinned counter snapshot
-/// is untouched.
+/// Charge-free directory traffic accounting: event counts, each worth a
+/// per-directory constant of modeled wire bytes that [`Directory::usage`]
+/// multiplies in. These counters feed the scaling experiment
+/// (`BENCH_scaling.json`) and are NOT part of [`crate::report::Counters`] —
+/// the golden-pinned counter snapshot is untouched.
 #[derive(Default)]
 struct DirTraffic {
-    /// Directory-entry modifications (any mode).
+    /// Directory-entry modifications (any mode). In the replicated modes
+    /// each is a broadcast delivered to every other node's replica.
     updates: Counter,
-    /// Bytes delivered for updates: per-replica broadcast deliveries in the
-    /// replicated modes, one O(1) shard message in sparse mode.
-    update_bytes: Counter,
+    /// Sparse-mode updates from off the home shard: one O(1) message each
+    /// (a shard-local update is an ordinary memory operation).
+    remote_updates: Counter,
     /// Sparse-mode remote probes of an entry's invalidation-on-change word.
     probes: Counter,
-    probe_bytes: Counter,
     /// Sparse-mode cache refills after a version change.
     misses: Counter,
-    miss_bytes: Counter,
 }
 
 /// Snapshot of directory traffic and memory, for the scaling experiment.
@@ -436,7 +436,6 @@ impl Directory {
         let sv = sp.shards[shard].load_sc(self.shard_field(page, F_VERSION));
         if reader != shard {
             self.traffic.probes.inc();
-            self.traffic.probe_bytes.add(8);
         }
         let cache = &sp.caches[reader];
         let vslot = page * sp.entry_words + F_VERSION;
@@ -460,7 +459,6 @@ impl Directory {
         cache[vslot].store(sv, Ordering::Release);
         if reader != shard {
             self.traffic.misses.inc();
-            self.traffic.miss_bytes.add((sp.entry_words as u64 - 1) * 8);
         }
         SparseSrc::Cache
     }
@@ -533,19 +531,12 @@ impl Directory {
         if me == shard {
             return now;
         }
-        self.traffic.update_bytes.add(SPARSE_UPDATE_BYTES);
+        self.traffic.remote_updates.inc();
         // The degenerate (single-target) tree: exactly one fault-interposed
         // link reservation plus latency — directory updates and the
         // write-notice fan-out share the same broadcast primitive.
         self.mc
             .charge_tree(me, &[shard], TREE_FANOUT, SPARSE_UPDATE_BYTES, now)
-    }
-
-    /// Per-replica delivery accounting for one replicated-mode update.
-    fn replicated_update_traffic(&self) {
-        self.traffic.updates.inc();
-        // The hub fans the 8-byte word out to every other node's replica.
-        self.traffic.update_bytes.add(8 * (self.pnodes as u64 - 1));
     }
 
     /// Per-modification cost under the configured mode (§3.1: 5 µs
@@ -613,7 +604,7 @@ impl Directory {
                 self.gates[page].acquire(now, hold)
             }
         };
-        self.replicated_update_traffic();
+        self.traffic.updates.inc();
         let idx = self.word_idx(page, me);
         let done = self.mc.write(self.region, me, idx, w.pack(), start);
         self.replicas[me].store(idx, w.pack());
@@ -709,7 +700,7 @@ impl Directory {
             sh.fetch_add(self.shard_field(page, F_VERSION), 1);
             return self.sparse_update_charge(page, me, now);
         }
-        self.replicated_update_traffic();
+        self.traffic.updates.inc();
         let idx = self.home_idx(page);
         let done = self.mc.write(self.region, me, idx, h.pack(), now);
         self.replicas[me].store(idx, h.pack());
@@ -816,25 +807,33 @@ impl Directory {
     /// scaling experiment (`BENCH_scaling.json`). Not part of
     /// [`crate::report::Counters`]; the golden-pinned counters are untouched.
     pub fn usage(&self) -> DirUsage {
-        let (mc_bytes, cache_bytes) = match &self.sparse {
-            None => {
-                // Every node holds a full replica of the directory region.
-                let words = self.pages * (self.pnodes + 1);
-                (8 * (words * self.pnodes) as u64, 0)
-            }
-            Some(sp) => {
-                let shard_words: usize = sp.shards.iter().map(RxBuffer::words).sum();
-                let cache_words: usize = sp.caches.iter().map(|c| c.len()).sum();
-                (8 * shard_words as u64, 8 * cache_words as u64)
-            }
+        let t = &self.traffic;
+        let (updates, probes, misses) = (t.updates.get(), t.probes.get(), t.misses.get());
+        let (update_bytes, miss_bytes, mc_bytes, cache_bytes) = match &self.sparse {
+            // Every node holds a full replica of the directory region, and
+            // the hub fans each updated 8-byte word out to every other
+            // node's.
+            None => (
+                8 * (self.pnodes as u64 - 1) * updates,
+                0,
+                8 * (self.pages * (self.pnodes + 1) * self.pnodes) as u64,
+                0,
+            ),
+            // A refill copies every field but the version word.
+            Some(sp) => (
+                SPARSE_UPDATE_BYTES * t.remote_updates.get(),
+                8 * (sp.entry_words as u64 - 1) * misses,
+                8 * sp.shards.iter().map(RxBuffer::words).sum::<usize>() as u64,
+                8 * sp.caches.iter().map(|c| c.len()).sum::<usize>() as u64,
+            ),
         };
         DirUsage {
-            updates: self.traffic.updates.get(),
-            update_bytes: self.traffic.update_bytes.get(),
-            probes: self.traffic.probes.get(),
-            probe_bytes: self.traffic.probe_bytes.get(),
-            misses: self.traffic.misses.get(),
-            miss_bytes: self.traffic.miss_bytes.get(),
+            updates,
+            update_bytes,
+            probes,
+            probe_bytes: 8 * probes,
+            misses,
+            miss_bytes,
             mc_bytes,
             cache_bytes,
         }

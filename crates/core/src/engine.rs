@@ -105,7 +105,7 @@ pub struct ProcCtx {
     /// test per hook and zero allocations.
     pub obs: Option<Box<ProcObs>>,
     /// Deterministic parallel scheduler handle (DESIGN.md §15); `None` in
-    /// the sequential engine, so the disabled cost — like `obs` — is one
+    /// the free-running engine, so the disabled cost — like `obs` — is one
     /// discriminant test per hook.
     pub(crate) det: Option<DetHandle>,
 }
@@ -171,7 +171,7 @@ impl ProcCtx {
     /// Lookahead checkpoint (DESIGN.md §15): parks this processor if its
     /// virtual time has reached the scheduler's horizon. Placed at the
     /// entry of every data-access/compute operation; a no-op (one
-    /// discriminant test) in the sequential engine.
+    /// discriminant test) in the free-running engine.
     #[inline]
     pub(crate) fn det_checkpoint(&self) {
         if let Some(d) = &self.det {
@@ -181,8 +181,8 @@ impl ProcCtx {
 
     /// Enters an exclusive gate at the current virtual time (DESIGN.md
     /// §15): returns once every peer is parked and this gate is the
-    /// earliest pending. A no-op in the sequential engine, like the three
-    /// gate calls below.
+    /// earliest pending. A no-op in the free-running engine, like the four
+    /// calls below.
     #[inline]
     pub(crate) fn gate_enter(&self) {
         if let Some(d) = &self.det {
@@ -210,6 +210,13 @@ impl ProcCtx {
     pub(crate) fn unblock_all(&self, key: WaitKey) {
         if let Some(d) = &self.det {
             d.unblock_all(key);
+        }
+    }
+
+    /// Marks this processor finished and hands its worker slot on.
+    pub(crate) fn det_finish(&self) {
+        if let Some(d) = &self.det {
+            d.finish();
         }
     }
 }
@@ -1021,7 +1028,10 @@ impl Engine {
         chosen
     }
 
-    fn lock_cost(&self) -> Nanos {
+    /// Virtual cost of one application-lock hand-off (or flag wait) under
+    /// the protocol in force.
+    #[inline]
+    pub(crate) fn lock_cost(&self) -> Nanos {
         if self.cfg.protocol.is_two_level() {
             self.cost.lock_two_level
         } else {
@@ -1048,18 +1058,6 @@ impl Engine {
     // ------------------------------------------------------------------
     // Page faults (§2.4.1)
     // ------------------------------------------------------------------
-
-    /// Handles a read fault on `page` by `ctx` (§2.4.1).
-    pub fn read_fault(&self, ctx: &mut ProcCtx, page: usize) {
-        ctx.tally.counters.read_faults += 1;
-        self.fault_common(ctx, page, 0, /* write: */ false);
-    }
-
-    /// Handles a write fault on `page` by `ctx` (§2.4.1).
-    pub fn write_fault(&self, ctx: &mut ProcCtx, page: usize) {
-        ctx.tally.counters.write_faults += 1;
-        self.fault_common(ctx, page, 0, /* write: */ true);
-    }
 
     /// Fault entry point: under the deterministic scheduler the whole
     /// handler is one exclusive gate (DESIGN.md §15) — it reads and writes
@@ -1381,7 +1379,7 @@ impl Engine {
         // the twin. Direct-read fabrics have no reply message to duplicate.
         if home_phys != ctx.phys && !direct {
             if let Some(plan) = &self.faults {
-                if plan.reply_duplicated(home, home_phys, ctx.clock.now()) {
+                if plan.reply_duplicated(home, ctx.clock.now()) {
                     let _ = self
                         .mc
                         .charge_link(home, PAGE_BYTES as u64, ctx.clock.now());

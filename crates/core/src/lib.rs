@@ -52,7 +52,7 @@ pub use report::Report;
 pub use run::RunSpec;
 pub use trace::{ProtocolEvent, ReleaseAction, TraceEvent, TraceRecorder};
 
-pub use cashmere_faults::{FaultKind, FaultPlan, FaultRule, FaultScope};
+pub use cashmere_faults::{FaultKind, FaultPlan, FaultRule};
 pub use cashmere_obs::ObsReport;
 
 pub use cashmere_sim::{
@@ -63,15 +63,3 @@ pub use cashmere_vmpage::{PAGE_BYTES, PAGE_WORDS};
 
 /// A word address in the shared heap (index of a 64-bit word).
 pub type Addr = usize;
-
-/// The page containing word address `a`.
-#[inline]
-pub fn page_of(a: Addr) -> usize {
-    a / PAGE_WORDS
-}
-
-/// The offset of word address `a` within its page.
-#[inline]
-pub fn offset_of(a: Addr) -> usize {
-    a % PAGE_WORDS
-}

@@ -23,7 +23,7 @@
 //! acquires are uncontended by construction and the set-then-check loop
 //! succeeds on its first attempt. The simulated *cost* (the paper's 11 µs
 //! pair) is charged the same either way; contention remains exercised by
-//! the sequential engine, the OS-thread stress tests, and the `model_*`
+//! the free-running engine, the OS-thread stress tests, and the `model_*`
 //! explorer scenarios.
 
 use std::sync::atomic::Ordering;

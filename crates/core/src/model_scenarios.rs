@@ -25,12 +25,15 @@ use std::sync::Arc;
 
 use cashmere_memchan::TransportConfig;
 use cashmere_model::{thread, ModelAtomicBool, ModelAtomicU64};
-use cashmere_sim::{HorizonClock, Nanos, WakeSlot};
+use cashmere_sim::{HorizonClock, Nanos, ProcId, Topology, WakeSlot};
 use cashmere_transport::build_transport;
 
-use crate::config::DirectoryMode;
+use crate::config::{DirectoryMode, ProtocolKind};
 use crate::directory::{DirWord, Directory, PermBits};
+use crate::engine::Engine;
 use crate::mc_lock::McLock;
+use crate::run::RunSpec;
+use crate::sync::CarrierFlag;
 use crate::write_notice::{NleList, NoticeBoard, ProcNoticeList};
 
 /// Striped write-notice lists: `posters` threads insert disjoint page
@@ -606,6 +609,35 @@ pub fn handoff_wakeup(rounds: u64, mutant: bool) {
     party(1)();
     peer.join();
     assert_eq!(turn.load(Ordering::SeqCst), 2 * rounds);
+}
+
+/// The carriers' one wait (`sync::wait_until`, free-running arm): a waiter
+/// at virtual time 10 waits on a flag carrier while a releaser sets it at
+/// 9 999. The wait must end, and at the set time: the predicate is tested
+/// under the mutex the condvar wait releases, so the set either precedes
+/// the test or notifies a queued waiter. With `mutant`, the predicate is
+/// tested outside that mutex, and the explorer must find the schedule where
+/// the set and its notify land between the test and the wait — reported as
+/// a deadlock on `CondWake`.
+pub fn carrier_wait(mutant: bool) {
+    let engine = Engine::new(RunSpec::new(Topology::new(1, 2), ProtocolKind::TwoLevel));
+    let flag = Arc::new(CarrierFlag::default());
+    let waiter = {
+        let flag = Arc::clone(&flag);
+        let mut ctx = engine.make_ctx(ProcId(1));
+        ctx.clock.wait_until(10);
+        thread::spawn(move || {
+            if mutant {
+                flag.wait_mutant_predicate_outside_mutex(&ctx, 0)
+            } else {
+                flag.wait(&ctx, 0)
+            }
+        })
+    };
+    let mut ctx = engine.make_ctx(ProcId(0));
+    ctx.clock.wait_until(9_999);
+    flag.set(&ctx, 0);
+    assert_eq!(waiter.join(), 9_999, "the wait ends at the set");
 }
 
 /// Mutual exclusion through the Memory Channel lock: `nodes` threads (one

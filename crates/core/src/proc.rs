@@ -29,11 +29,11 @@ use cashmere_sim::{Nanos, ProcId, TimeCategory};
 use cashmere_vmpage::PAGE_WORDS;
 use parking_lot::Mutex;
 
-use crate::det::{DetScheduler, DetStats, WaitKey, QUANTUM_NS};
+use crate::det::{DetScheduler, DetStats, QUANTUM_NS};
 use crate::engine::{Engine, ProcCtx};
 use crate::report::Report;
 use crate::run::RunSpec;
-use crate::sync::{BarrierArrival, CarrierBarrier, CarrierFlag, CarrierLock};
+use crate::sync::{CarrierBarrier, CarrierFlag, CarrierLock};
 use crate::trace::{ProtocolEvent, TraceEvent};
 use crate::Addr;
 
@@ -57,9 +57,11 @@ impl Cluster {
     pub fn new(spec: RunSpec) -> Self {
         let sync = spec.sync;
         let pools = Arc::new(SyncPools {
-            locks: (0..sync.locks).map(|_| CarrierLock::new()).collect(),
-            barriers: (0..sync.barriers).map(|_| CarrierBarrier::new()).collect(),
-            flags: (0..sync.flags).map(|_| CarrierFlag::new()).collect(),
+            locks: (0..sync.locks).map(|_| CarrierLock::default()).collect(),
+            barriers: (0..sync.barriers)
+                .map(|_| CarrierBarrier::default())
+                .collect(),
+            flags: (0..sync.flags).map(|_| CarrierFlag::default()).collect(),
         });
         Self {
             engine: Engine::new(spec),
@@ -145,34 +147,43 @@ impl Cluster {
 
     /// Runs `f` on every simulated processor (one OS thread each) and
     /// returns the run's [`Report`]. Each processor gets an implicit final
-    /// release so all its modifications reach the home copies.
+    /// release so all its modifications reach the home copies. Flags set by
+    /// an earlier run on this cluster start unset.
     ///
     /// With [`RunSpec::with_det_parallel`], the processors advance
     /// under the deterministic parallel scheduler (DESIGN.md §15): at most
-    /// that many host workers run concurrently, and the returned `Report`
-    /// is byte-identical at every worker count.
+    /// that many host workers run concurrently, every protocol/sync
+    /// boundary is serialized in (virtual time, processor id) order, and
+    /// the returned `Report` is byte-identical at every worker count. The
+    /// scheduler is the only difference between the two engines here.
     pub fn run<F>(&self, f: F) -> Report
     where
         F: Fn(&mut Proc) + Sync,
     {
-        match self.config().det_workers {
-            Some(workers) => self.run_det(&f, workers),
-            None => self.run_seq(&f),
+        for flag in &self.pools.flags {
+            flag.clear();
         }
-    }
-
-    fn run_seq<F>(&self, f: &F) -> Report
-    where
-        F: Fn(&mut Proc) + Sync,
-    {
         let n = self.config().topology.total_procs();
+        let sched = self
+            .config()
+            .det_workers
+            .map(|workers| Arc::new(DetScheduler::new(n, workers, QUANTUM_NS)));
         let results: Vec<ProcCtx> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..n)
                 .map(|p| {
                     let engine = Arc::clone(&self.engine);
                     let pools = Arc::clone(&self.pools);
+                    let det = sched.as_ref().map(|sched| sched.handle(p));
+                    let f = &f;
                     s.spawn(move || {
                         let mut proc = Proc::new(engine, pools, ProcId(p));
+                        if let Some(h) = det {
+                            // Start barrier: no processor computes until
+                            // every context exists, so window 0 opens
+                            // identically at any worker count.
+                            h.start();
+                            proc.ctx.set_det(h);
+                        }
                         f(&mut proc);
                         proc.finish()
                     })
@@ -183,43 +194,9 @@ impl Cluster {
                 .map(|h| h.join().expect("simulated processor panicked"))
                 .collect()
         });
-        self.collect_report(&results)
-    }
-
-    /// Deterministic parallel run (DESIGN.md §15): one OS thread per
-    /// processor as in [`Self::run_seq`], but gated by a [`DetScheduler`]
-    /// that bounds concurrency to `workers` and serializes every
-    /// protocol/sync boundary in (virtual time, processor id) order.
-    fn run_det<F>(&self, f: &F, workers: usize) -> Report
-    where
-        F: Fn(&mut Proc) + Sync,
-    {
-        let n = self.config().topology.total_procs();
-        let sched = Arc::new(DetScheduler::new(n, workers, QUANTUM_NS));
-        let results: Vec<ProcCtx> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|p| {
-                    let engine = Arc::clone(&self.engine);
-                    let pools = Arc::clone(&self.pools);
-                    let h = sched.handle(p);
-                    s.spawn(move || {
-                        let mut proc = Proc::new(engine, pools, ProcId(p));
-                        // Start barrier: no processor computes until every
-                        // context exists, so window 0 opens identically at
-                        // any worker count.
-                        h.start();
-                        proc.ctx.set_det(h);
-                        f(&mut proc);
-                        proc.finish()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("simulated processor panicked"))
-                .collect()
-        });
-        *self.det_stats.lock() = sched.stats();
+        if let Some(sched) = &sched {
+            *self.det_stats.lock() = sched.stats();
+        }
         self.collect_report(&results)
     }
 
@@ -372,24 +349,12 @@ impl Proc {
     pub fn lock(&mut self, l: usize) {
         self.ctx.obs_begin(SpanKind::Lock, l as i64);
         self.ctx.tally.counters.lock_acquires += 1;
-        let cost = self.lock_cost();
-        let vt = if self.ctx.det.is_some() {
-            // Deterministic grant (DESIGN.md §15): the acquire is a gate;
-            // contenders park in the scheduler and are re-granted in
-            // (virtual time, processor id) order at each release.
-            self.ctx.gate_enter();
-            loop {
-                match self.pools.locks[l].try_acquire_for(self.ctx.clock.now(), cost) {
-                    Some(vt) => {
-                        self.ctx.gate_exit();
-                        break vt;
-                    }
-                    None => self.ctx.gate_block(WaitKey::Lock(l)),
-                }
-            }
-        } else {
-            self.pools.locks[l].acquire_for(self.ctx.clock.now(), cost)
-        };
+        // Under the deterministic scheduler the acquire is a gate
+        // (DESIGN.md §15): contenders block in the scheduler and are
+        // re-granted in (virtual time, processor id) order at each release.
+        self.ctx.gate_enter();
+        let vt = self.pools.locks[l].acquire(&self.ctx, l, self.engine.lock_cost());
+        self.ctx.gate_exit();
         self.ctx.clock.wait_until(vt);
         // Consumer: emitted after the carrier grant, so it is sequenced
         // after the previous holder's LockRelease.
@@ -414,8 +379,7 @@ impl Proc {
             lock: l,
         });
         self.ctx.gate_enter();
-        self.pools.locks[l].release(self.ctx.clock.now());
-        self.ctx.unblock_all(WaitKey::Lock(l));
+        self.pools.locks[l].release(&self.ctx, l);
         self.ctx.gate_exit();
     }
 
@@ -432,31 +396,13 @@ impl Proc {
             pnode: self.ctx.pnode,
             barrier: b,
         });
-        let cost = self.barrier_cost();
-        let n = self.nprocs();
-        let crossing = if self.ctx.det.is_some() {
-            // Deterministic rendezvous (DESIGN.md §15): arrivals are gates
-            // ordered by (virtual time, processor id); early arrivers park
-            // in the scheduler until the last arrival completes the episode
-            // and unblocks them.
-            self.ctx.gate_enter();
-            match self.pools.barriers[b].arrive(n, self.ctx.clock.now(), cost) {
-                BarrierArrival::Complete(c) => {
-                    self.ctx.unblock_all(WaitKey::Barrier(b));
-                    self.ctx.gate_exit();
-                    c
-                }
-                BarrierArrival::Waiting(epoch) => loop {
-                    self.ctx.gate_block(WaitKey::Barrier(b));
-                    if let Some(c) = self.pools.barriers[b].poll(epoch) {
-                        self.ctx.gate_exit();
-                        break c;
-                    }
-                },
-            }
-        } else {
-            self.pools.barriers[b].wait(n, self.ctx.clock.now(), cost)
-        };
+        // Under the deterministic scheduler arrivals are gates ordered by
+        // (virtual time, processor id); early arrivers block in the
+        // scheduler until the last arrival completes the episode.
+        self.ctx.gate_enter();
+        let crossing =
+            self.pools.barriers[b].wait(&self.ctx, b, self.nprocs(), self.barrier_cost());
+        self.ctx.gate_exit();
         if crossing.was_last {
             self.ctx.tally.counters.barriers += 1;
         }
@@ -484,8 +430,7 @@ impl Proc {
             flag: fl,
         });
         self.ctx.gate_enter();
-        self.pools.flags[fl].set(self.ctx.clock.now());
-        self.ctx.unblock_all(WaitKey::Flag(fl));
+        self.pools.flags[fl].set(&self.ctx, fl);
         self.ctx.gate_exit();
     }
 
@@ -493,20 +438,9 @@ impl Proc {
     pub fn flag_wait(&mut self, fl: usize) {
         self.ctx.obs_begin(SpanKind::Flag, fl as i64);
         self.ctx.tally.counters.lock_acquires += 1;
-        let vt = if self.ctx.det.is_some() {
-            self.ctx.gate_enter();
-            loop {
-                match self.pools.flags[fl].try_wait(self.ctx.clock.now()) {
-                    Some(vt) => {
-                        self.ctx.gate_exit();
-                        break vt;
-                    }
-                    None => self.ctx.gate_block(WaitKey::Flag(fl)),
-                }
-            }
-        } else {
-            self.pools.flags[fl].wait(self.ctx.clock.now())
-        };
+        self.ctx.gate_enter();
+        let vt = self.pools.flags[fl].wait(&self.ctx, fl);
+        self.ctx.gate_exit();
         // Consumer: emitted after the wait observed the set.
         self.trace(|| ProtocolEvent::FlagWait {
             proc: self.ctx.id.0,
@@ -516,20 +450,9 @@ impl Proc {
         self.ctx.clock.wait_until(vt);
         self.ctx
             .clock
-            .charge(TimeCategory::CommWait, self.lock_cost());
+            .charge(TimeCategory::CommWait, self.engine.lock_cost());
         self.engine.acquire_actions(&mut self.ctx);
         self.ctx.obs_end(SpanKind::Flag);
-    }
-
-    /// Non-blocking flag check (no consistency actions). Under the
-    /// deterministic scheduler this is a lookahead checkpoint: flag sets
-    /// land at exclusive gates, so the value read here is a pure function
-    /// of the caller's window — identical at every worker count. (Callers
-    /// polling in a loop must charge time between polls, as any real
-    /// program would; a zero-cost spin never reaches the horizon.)
-    pub fn flag_is_set(&self, fl: usize) -> bool {
-        self.ctx.det_checkpoint();
-        self.pools.flags[fl].is_set()
     }
 
     // --- Accounting -----------------------------------------------------
@@ -542,15 +465,6 @@ impl Proc {
     pub fn record_sojourn(&mut self, ns: Nanos) {
         if let Some(o) = &mut self.ctx.obs {
             o.metrics.sojourn_ns.record(ns);
-        }
-    }
-
-    fn lock_cost(&self) -> Nanos {
-        let c = self.engine.cost();
-        if self.engine.config().protocol.is_two_level() {
-            c.lock_two_level
-        } else {
-            c.lock_one_level
         }
     }
 
@@ -573,9 +487,7 @@ impl Proc {
         if let Some(o) = &mut self.ctx.obs {
             o.finish(&self.ctx.clock);
         }
-        if let Some(d) = &self.ctx.det {
-            d.finish();
-        }
+        self.ctx.det_finish();
         self.ctx
     }
 }

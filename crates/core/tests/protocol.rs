@@ -499,3 +499,47 @@ fn cluster_can_run_multiple_programs_back_to_back() {
         assert_eq!(c.read_u64(a + id as usize), (id + 1) * 10);
     }
 }
+
+#[test]
+fn a_second_run_starts_with_every_flag_unset() {
+    // Flags are one-shot within a run, and the pools outlive it. Left set,
+    // run 2's wait would return at once — before the producer's release, so
+    // the consumer reads its stale copy — and be dragged to run 1's (later)
+    // set time. One host worker makes every time below exact.
+    use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+    let spec = RunSpec::new(Topology::new(2, 1), ProtocolKind::TwoLevel)
+        .with_sync(SyncSpec {
+            locks: 1,
+            barriers: 1,
+            flags: 1,
+        })
+        .with_det_parallel(1);
+    let mut c = Cluster::new(spec);
+    let a = c.alloc(1);
+    let (seen, set_at, woke_at) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+    let run = |number: u64, produce_ns: u64| {
+        c.run(|p| {
+            if p.id() == 0 {
+                p.compute(produce_ns);
+                p.write_u64(a, number);
+                p.flag_set(0);
+                set_at.store(p.now(), SeqCst);
+            } else {
+                p.flag_wait(0);
+                woke_at.store(p.now(), SeqCst);
+                seen.store(p.read_u64(a), SeqCst);
+            }
+        });
+        (seen.load(SeqCst), set_at.load(SeqCst), woke_at.load(SeqCst))
+    };
+    let (seen1, set1, woke1) = run(1, 1_000_000);
+    assert_eq!(seen1, 1);
+    assert!(woke1 >= set1);
+    let (seen2, set2, woke2) = run(2, 100_000);
+    assert_eq!(seen2, 2, "the wait ordered the read after run 2's write");
+    assert!(set2 < set1, "run 2 sets earlier than run 1 did");
+    assert!(
+        (set2..set1).contains(&woke2),
+        "the wait ends at run 2's set ({set2}), not run 1's ({set1}): {woke2}"
+    );
+}

@@ -156,39 +156,24 @@ pub enum FaultKind {
     LinkOutage,
 }
 
-/// Which endpoints/links a rule applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultScope {
-    /// Every endpoint and link.
-    All,
-    /// Only operations whose source endpoint (protocol node) matches.
-    Endpoint(usize),
-    /// Only operations crossing this physical link.
-    Link(usize),
-}
-
-/// One declarative fault rule: a kind, a firing probability, an optional
-/// virtual-time window, a node/link scope, and a kind-specific parameter
-/// (delay length for [`FaultKind::DelayWrite`], epoch length for
-/// [`FaultKind::LinkOutage`]).
+/// One declarative fault rule: a kind, a firing probability, and a
+/// kind-specific parameter (delay length for [`FaultKind::DelayWrite`],
+/// epoch length for [`FaultKind::LinkOutage`]). A rule applies to every
+/// endpoint and link at every virtual time.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultRule {
     /// The fault injected when the rule fires.
     pub kind: FaultKind,
     /// Probability in `[0, 1]` that an eligible event fires.
     pub probability: f64,
-    /// Half-open virtual-time window `[start, end)`; `None` = always.
-    pub window: Option<(Nanos, Nanos)>,
-    /// Endpoint/link scope.
-    pub scope: FaultScope,
     /// Delay (`DelayWrite`) or outage-epoch length (`LinkOutage`) in
     /// virtual nanoseconds.
     pub param_ns: Nanos,
 }
 
 impl FaultRule {
-    /// A rule for `kind` firing with `probability`, unscoped and unwindowed,
-    /// with a kind-appropriate default parameter.
+    /// A rule for `kind` firing with `probability`, with a
+    /// kind-appropriate default parameter.
     #[must_use]
     pub fn new(kind: FaultKind, probability: f64) -> Self {
         let param_ns = match kind {
@@ -199,24 +184,8 @@ impl FaultRule {
         Self {
             kind,
             probability,
-            window: None,
-            scope: FaultScope::All,
             param_ns,
         }
-    }
-
-    /// Builder-style scope restriction.
-    #[must_use]
-    pub fn scoped(mut self, scope: FaultScope) -> Self {
-        self.scope = scope;
-        self
-    }
-
-    /// Builder-style virtual-time window `[start, end)`.
-    #[must_use]
-    pub fn windowed(mut self, start: Nanos, end: Nanos) -> Self {
-        self.window = Some((start, end));
-        self
     }
 
     /// Builder-style parameter override (delay / outage epoch length).
@@ -410,19 +379,6 @@ impl FaultPlan {
         &self.stats
     }
 
-    fn applies(rule: &FaultRule, endpoint: Option<usize>, link: usize, now: Nanos) -> bool {
-        if let Some((start, end)) = rule.window {
-            if now < start || now >= end {
-                return false;
-            }
-        }
-        match rule.scope {
-            FaultScope::All => true,
-            FaultScope::Endpoint(e) => endpoint == Some(e),
-            FaultScope::Link(l) => link == l,
-        }
-    }
-
     fn fires(c: &Compiled, site: u64, a: u64, b: u64) -> bool {
         if c.threshold == 0 {
             return false;
@@ -443,10 +399,7 @@ impl FaultPlan {
             return None;
         }
         for c in &self.rules {
-            if c.rule.kind != FaultKind::LinkOutage
-                || !Self::applies(&c.rule, None, link, now)
-                || c.rule.param_ns == 0
-            {
+            if c.rule.kind != FaultKind::LinkOutage || c.rule.param_ns == 0 {
                 continue;
             }
             let epoch = now / c.rule.param_ns;
@@ -470,9 +423,6 @@ impl FaultPlan {
             return WriteFault::Outage(resume);
         }
         for c in &self.rules {
-            if !Self::applies(&c.rule, Some(endpoint), link, now) {
-                continue;
-            }
             let hit = match c.rule.kind {
                 FaultKind::DropWrite | FaultKind::DuplicateWrite | FaultKind::DelayWrite => {
                     Self::fires(
@@ -557,7 +507,6 @@ impl FaultPlan {
         }
         for c in &self.rules {
             if c.rule.kind == kind
-                && Self::applies(&c.rule, Some(requester), link, now)
                 && Self::fires(c, site ^ u64::from(attempt) << 32, requester as u64, now)
             {
                 self.stats.bump(counter);
@@ -567,17 +516,16 @@ impl FaultPlan {
         false
     }
 
-    /// Whether the page-fetch reply from `home` (over `link`) at `now` is
-    /// delivered twice. The duplicate is suppressed by the requester's
+    /// Whether the page-fetch reply from `home` at `now` is delivered
+    /// twice. The duplicate is suppressed by the requester's
     /// sequence-number check; this exercises that path.
     #[must_use]
-    pub fn reply_duplicated(&self, home: usize, link: usize, now: Nanos) -> bool {
+    pub fn reply_duplicated(&self, home: usize, now: Nanos) -> bool {
         if self.rules.is_empty() {
             return false;
         }
         for c in &self.rules {
             if c.rule.kind == FaultKind::DuplicateWrite
-                && Self::applies(&c.rule, Some(home), link, now)
                 && Self::fires(c, site::REPLY, home as u64, now)
             {
                 self.stats.bump(&self.stats.replies_duplicated);
@@ -639,7 +587,7 @@ mod tests {
             assert_eq!(plan.write_fault(0, 0, now), WriteFault::Deliver);
             assert!(!plan.fetch_lost(1, 0, now, 1));
             assert!(!plan.break_lost(1, 0, now, 1));
-            assert!(!plan.reply_duplicated(1, 0, now));
+            assert!(!plan.reply_duplicated(1, now));
             assert!(plan.link_down(0, now).is_none());
         }
         assert_eq!(plan.stats().total(), 0);
@@ -704,29 +652,6 @@ mod tests {
             .count();
         let frac = hits as f64 / n as f64;
         assert!((0.18..0.32).contains(&frac), "got {frac}");
-    }
-
-    #[test]
-    fn windows_and_scopes_filter() {
-        let p = FaultPlan::new(1).with_rule(
-            FaultRule::new(FaultKind::DropWrite, 1.0)
-                .windowed(1_000, 2_000)
-                .scoped(FaultScope::Endpoint(3)),
-        );
-        assert_eq!(p.write_fault(3, 0, 999), WriteFault::Deliver);
-        assert_eq!(p.write_fault(3, 0, 1_000), WriteFault::Drop);
-        assert_eq!(p.write_fault(3, 0, 1_999), WriteFault::Drop);
-        assert_eq!(p.write_fault(3, 0, 2_000), WriteFault::Deliver);
-        assert_eq!(
-            p.write_fault(2, 0, 1_500),
-            WriteFault::Deliver,
-            "wrong endpoint"
-        );
-
-        let l = FaultPlan::new(1)
-            .with_rule(FaultRule::new(FaultKind::LoseFetch, 1.0).scoped(FaultScope::Link(2)));
-        assert!(l.fetch_lost(0, 2, 0, 1));
-        assert!(!l.fetch_lost(0, 1, 0, 1));
     }
 
     #[test]
@@ -805,7 +730,7 @@ mod tests {
             .map(|i| p.write_fault(1, 0, i * 53) == WriteFault::Duplicate)
             .collect();
         let replies: Vec<bool> = (0..2_000u64)
-            .map(|i| p.reply_duplicated(1, 0, i * 53))
+            .map(|i| p.reply_duplicated(1, i * 53))
             .collect();
         assert_ne!(writes, replies, "sites must decorrelate");
         assert!(replies.iter().any(|&r| r), "replies do get duplicated");
@@ -814,13 +739,13 @@ mod tests {
     #[test]
     fn stats_count_each_kind() {
         let p = FaultPlan::new(3)
-            .with_rule(FaultRule::new(FaultKind::DropWrite, 1.0).windowed(0, 10))
-            .with_rule(FaultRule::new(FaultKind::DelayWrite, 1.0).windowed(10, 20));
+            .with_rule(FaultRule::new(FaultKind::DropWrite, 1.0))
+            .with_rule(FaultRule::new(FaultKind::LoseFetch, 1.0));
         let _ = p.write_fault(0, 0, 5);
-        let _ = p.write_fault(0, 0, 15);
+        let _ = p.fetch_lost(0, 0, 15, 1);
         // relaxed-ok: test-side counter reads after all injections completed.
         assert_eq!(p.stats().writes_dropped.load(Ordering::Relaxed), 1);
-        assert_eq!(p.stats().writes_delayed.load(Ordering::Relaxed), 1);
+        assert_eq!(p.stats().fetches_lost.load(Ordering::Relaxed), 1);
         assert_eq!(p.stats().total(), 2);
     }
 }

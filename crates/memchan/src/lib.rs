@@ -302,11 +302,6 @@ impl MemoryChannel {
             .get_or_init(|| (0..region.words).map(|_| ModelAtomicU64::new(0)).collect());
     }
 
-    /// Whether `endpoint` has a receive mapping for `r`.
-    pub fn has_rx(&self, r: RegionId, endpoint: usize) -> bool {
-        self.region(r).rx[endpoint].get().is_some()
-    }
-
     /// The fault-layer interposition point shared by every transmission:
     /// reserves `from`'s physical link for `bytes` of payload starting at
     /// `now`, applying the fault plan's verdict — drop (adapter
@@ -495,21 +490,6 @@ impl MemoryChannel {
             .rx_of(endpoint)
             .expect("read_local from endpoint without a receive mapping");
         buf[offset].load(Ordering::Acquire)
-    }
-
-    /// Stores directly into `endpoint`'s own receive copy — the manual
-    /// "doubling" of writes the paper uses for non-loop-back regions such as
-    /// the global directory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `endpoint` has no receive mapping for `r`.
-    pub fn write_local(&self, r: RegionId, endpoint: usize, offset: usize, val: u64) {
-        let region = self.region(r);
-        let buf = region
-            .rx_of(endpoint)
-            .expect("write_local to endpoint without a receive mapping");
-        buf[offset].store(val, Ordering::Release);
     }
 
     /// Direct access to `endpoint`'s receive buffer for region `r`, if
@@ -705,19 +685,6 @@ impl RxBuffer {
             Ordering::SeqCst,
         )
     }
-
-    /// Copies the whole buffer into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from the region size.
-    pub fn copy_to(&self, out: &mut [u64]) {
-        assert_eq!(out.len(), self.region.words);
-        let buf = self.region.rx[self.endpoint].get().unwrap();
-        for (o, w) in out.iter_mut().zip(buf.iter()) {
-            *o = w.load(Ordering::Acquire);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -736,7 +703,7 @@ mod tests {
         mc.attach_rx(r, 1);
         mc.write(r, 0, 3, 42, 0);
         assert_eq!(mc.read_local(r, 1, 3), 42);
-        assert!(!mc.has_rx(r, 0));
+        assert!(mc.rx_buffer(r, 0).is_none());
     }
 
     #[test]
@@ -752,7 +719,7 @@ mod tests {
             0,
             "own copy NOT updated without loop-back"
         );
-        mc.write_local(r, 0, 0, 7);
+        mc.rx_buffer(r, 0).unwrap().store(0, 7);
         assert_eq!(mc.read_local(r, 0, 0), 7, "manual doubling fixes it");
     }
 
@@ -827,10 +794,7 @@ mod tests {
         mc.attach_rx(r, 0);
         let buf = mc.rx_buffer(r, 0).unwrap();
         buf.store(1, 123);
-        assert_eq!(buf.load(1), 123);
-        let mut out = [0u64; 4];
-        buf.copy_to(&mut out);
-        assert_eq!(out, [0, 123, 0, 0]);
+        assert_eq!((buf.load(0), buf.load(1)), (0, 123));
         assert!(mc.rx_buffer(r, 1).is_none());
     }
 
@@ -1100,7 +1064,7 @@ mod tests {
                     for _ in 0..300 {
                         let r = mc.create_region(1, false);
                         mc.attach_rx(r, 0);
-                        mc.write_local(r, 0, 0, r.0 as u64 + 1);
+                        mc.rx_buffer(r, 0).unwrap().store(0, r.0 as u64 + 1);
                         published.store(r.0 + 1, Ordering::Release);
                     }
                 })

@@ -6,7 +6,8 @@
 //! [`explore`], every lock acquire/release of the vendored `parking_lot`
 //! shim, every [`ModelAtomicU64`]/[`ModelAtomicBool`] operation, and every
 //! [`thread::spawn`]/[`thread::JoinHandle::join`]/[`thread::park`]/
-//! [`thread::Thread::unpark`] routes through a schedule
+//! [`thread::Thread::unpark`] and every shim `Condvar` wait/notify routes
+//! through a schedule
 //! controller that runs exactly **one thread at a time** and decides, at
 //! each such *schedule point*, which thread runs next:
 //!
@@ -105,6 +106,15 @@ pub enum OpKind {
     /// Unpark of the thread whose model id is the operand: makes its park
     /// token available.
     Unpark(usize),
+    /// Condvar wait on `loc`: releases the mutex whose location is the
+    /// operand and queues the thread on the condvar, in one step.
+    CondWait(usize),
+    /// Return from a condvar wait on `loc`: runnable only once a notify has
+    /// dequeued the thread.
+    CondWake,
+    /// Condvar notify on `loc`: dequeues the longest waiter, or every
+    /// waiter if the operand is set; lost if nobody is queued.
+    Notify(bool),
 }
 
 macro_rules! gated {
@@ -188,20 +198,39 @@ gated! {
     }
 }
 
-/// Guard for condition-variable waits: the model cannot express "release the
-/// lock and sleep", so an active model thread reaching one is a test bug.
-///
-/// # Panics
-///
-/// Panics when called from a thread registered with an active exploration.
+/// Condvar wait on `cv` with the guard of `mutex`: under an active
+/// exploration the controller releases the modeled mutex and queues the
+/// caller on `cv` in one step, and this returns `true` — the caller then
+/// drops the real guard, passes [`on_condvar_wake`] and locks again. Returns
+/// `false` outside an exploration: the caller uses the real primitive.
 #[inline]
-pub fn on_condvar_wait() {
+#[must_use]
+pub fn on_condvar_wait(cv: usize, mutex: usize) -> bool {
     #[cfg(any(test, feature = "enable"))]
-    assert!(
-        !sched::active(),
-        "cashmere-model: Condvar::wait is not supported under an active exploration; \
-         restructure the model test to poll a ModelAtomic flag"
-    );
+    if sched::active() {
+        sched::point(Op {
+            kind: OpKind::CondWait(mutex),
+            loc: cv,
+        });
+        return true;
+    }
+    let _ = (cv, mutex);
+    false
+}
+
+gated! {
+    /// The sleep of a modeled condvar wait on `cv`: the calling thread is
+    /// scheduled only once a notify has dequeued it.
+    pub fn on_condvar_wake(cv: usize) {
+        sched::point(crate::Op { kind: OpKind::CondWake, loc: cv });
+    }
+}
+
+gated! {
+    /// Notify on `cv`, of one waiter or of `all`.
+    pub fn on_condvar_notify(cv: usize, all: bool) {
+        sched::point(crate::Op { kind: OpKind::Notify(all), loc: cv });
+    }
 }
 
 /// One routed operation: the flavor plus the address-derived location id.
@@ -227,6 +256,9 @@ impl Op {
                 | OpKind::Yield
                 | OpKind::Park
                 | OpKind::Unpark(_)
+                | OpKind::CondWait(_)
+                | OpKind::CondWake
+                | OpKind::Notify(_)
         )
     }
 

@@ -156,6 +156,9 @@ struct State {
     locks: HashMap<usize, LockSt>,
     /// Park tokens by thread id (`std::thread` semantics: at most one).
     tokens: Vec<bool>,
+    /// Threads queued on a condvar, as `(condvar loc, thread id)` in
+    /// arrival order.
+    cond_waiters: Vec<(usize, usize)>,
     rng: u64,
     bound: u32,
     preemptions: u32,
@@ -173,6 +176,7 @@ impl State {
             current: Some(0),
             locks: HashMap::new(),
             tokens: vec![false],
+            cond_waiters: Vec::new(),
             rng: seed,
             bound,
             preemptions: 0,
@@ -203,6 +207,7 @@ impl State {
             OpKind::RwRead => !matches!(self.locks.get(&op.loc), Some(LockSt::Excl(_))),
             OpKind::Join(target) => matches!(self.threads[target], ThState::Finished),
             OpKind::Park => self.tokens[tid],
+            OpKind::CondWake => !self.cond_waiters.contains(&(op.loc, tid)),
             _ => true,
         }
     }
@@ -243,6 +248,16 @@ impl State {
                 }
                 OpKind::Park => self.tokens[tid] = false,
                 OpKind::Unpark(target) => self.tokens[target] = true,
+                OpKind::CondWait(mutex) => {
+                    self.locks.remove(&mutex);
+                    self.cond_waiters.push((op.loc, tid));
+                }
+                OpKind::Notify(true) => self.cond_waiters.retain(|&(cv, _)| cv != op.loc),
+                OpKind::Notify(false) => {
+                    if let Some(i) = self.cond_waiters.iter().position(|&(cv, _)| cv == op.loc) {
+                        self.cond_waiters.remove(i);
+                    }
+                }
                 _ => {}
             }
         }
@@ -968,6 +983,51 @@ mod tests {
         });
         assert!(v.message.contains("deadlock"), "got: {}", v.message);
         assert!(v.message.contains("Park"), "got: {}", v.message);
+    }
+
+    #[test]
+    fn condvar_wait_releases_the_mutex_and_a_lost_notify_is_a_deadlock() {
+        const M: usize = 0x10;
+        const CV: usize = 0x20;
+        use std::sync::atomic::Ordering::SeqCst;
+        // `locked_check`: the waiter tests the flag under the mutex the
+        // wait releases (correct), or before taking it (a set and its
+        // notify can land in between, and nobody is queued to hear it).
+        fn scenario(locked_check: bool) {
+            let flag = Arc::new(ModelAtomicU64::new(0));
+            let f2 = Arc::clone(&flag);
+            let waiter = thread::spawn(move || {
+                if locked_check {
+                    crate::on_mutex_lock(M);
+                }
+                while f2.load(SeqCst) == 0 {
+                    if !locked_check {
+                        crate::on_mutex_lock(M);
+                    }
+                    assert!(crate::on_condvar_wait(CV, M));
+                    crate::on_condvar_wake(CV);
+                    crate::on_mutex_lock(M);
+                    if !locked_check {
+                        crate::on_mutex_unlock(M);
+                    }
+                }
+                if locked_check {
+                    crate::on_mutex_unlock(M);
+                }
+            });
+            crate::on_mutex_lock(M);
+            flag.store(1, SeqCst);
+            crate::on_mutex_unlock(M);
+            crate::on_condvar_notify(CV, false);
+            waiter.join();
+        }
+        try_explore("condvar", &small(), || scenario(true))
+            .expect("a predicate checked under the mutex loses no wake-up");
+        let v = expect_violation("condvar-unlocked-check", &small(), || scenario(false));
+        assert!(v.message.contains("deadlock"), "got: {}", v.message);
+        assert!(v.message.contains("CondWake"), "got: {}", v.message);
+        // Outside an exploration the caller is told to use the real one.
+        assert!(!crate::on_condvar_wait(CV, M));
     }
 
     #[test]

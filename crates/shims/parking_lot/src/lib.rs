@@ -30,7 +30,6 @@
 
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
-use std::time::Duration;
 
 /// The interleaving explorer whose hooks these primitives call; model tests
 /// reach it as `parking_lot::model` (or depend on `cashmere-model`
@@ -50,7 +49,9 @@ pub struct Mutex<T: ?Sized> {
 
 /// RAII guard for [`Mutex::lock`].
 pub struct MutexGuard<'a, T: ?Sized> {
-    loc: usize,
+    // The mutex itself, not just its location id: a modeled
+    // `Condvar::wait` drops the std guard and has to lock again.
+    mutex: &'a Mutex<T>,
     // `Option` so `Condvar::wait` can move the std guard out and back while
     // the caller retains the `&mut MutexGuard`.
     inner: Option<std::sync::MutexGuard<'a, T>>,
@@ -77,10 +78,9 @@ impl<T: ?Sized> Mutex<T> {
     /// exploration the thread is scheduled only once the modeled lock is
     /// free, so the inner `std` lock never actually contends there.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let loc = loc_of(self);
-        model::on_mutex_lock(loc);
+        model::on_mutex_lock(loc_of(self));
         MutexGuard {
-            loc,
+            mutex: self,
             inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
         }
     }
@@ -96,7 +96,7 @@ impl<T: ?Sized> Mutex<T> {
         };
         model::on_mutex_acquired(loc);
         Some(MutexGuard {
-            loc,
+            mutex: self,
             inner: Some(g),
         })
     }
@@ -112,7 +112,7 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
         // Release schedule point fires before the real unlock (the inner
         // guard drops after this body), keeping the modeled lock table
         // authoritative for who may be granted the lock next.
-        model::on_mutex_unlock(self.loc);
+        model::on_mutex_unlock(loc_of(self.mutex));
     }
 }
 
@@ -132,9 +132,12 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 /// A condition variable pairing with [`Mutex`], `parking_lot`-style
 /// (`wait` takes the guard by `&mut`).
 ///
-/// Not supported under an active model exploration ("release the lock and
-/// sleep" has no bounded-schedule semantics); [`model::on_condvar_wait`]
-/// fails the schedule if a model thread reaches one.
+/// Under an active model exploration a wait is three schedule points: the
+/// controller releases the modeled mutex and queues the thread on the
+/// condvar in one step, the thread is not runnable again until a notify
+/// dequeues it, and it then takes the mutex back like any other locker. A
+/// notify with nobody queued is lost, as on the real primitive, so a lost
+/// wake-up is a reported deadlock; the model has no spurious returns.
 #[derive(Debug, Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
@@ -151,32 +154,29 @@ impl Condvar {
     /// Atomically releases the guard's mutex and waits for a notification,
     /// reacquiring before returning.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        model::on_condvar_wait();
         let g = guard.inner.take().expect("guard invariant");
-        let g = self.inner.wait(g).unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(g);
-    }
-
-    /// As [`Condvar::wait`] with a timeout; returns `true` if the wait timed
-    /// out.
-    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> bool {
-        model::on_condvar_wait();
-        let g = guard.inner.take().expect("guard invariant");
-        let (g, res) = self
-            .inner
-            .wait_timeout(g, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(g);
-        res.timed_out()
+        let g = if model::on_condvar_wait(loc_of(self), loc_of(guard.mutex)) {
+            // The modeled release fired before the real unlock, as in
+            // `MutexGuard::drop`; nothing else runs in between.
+            drop(g);
+            model::on_condvar_wake(loc_of(self));
+            model::on_mutex_lock(loc_of(guard.mutex));
+            guard.mutex.inner.lock()
+        } else {
+            self.inner.wait(g)
+        };
+        guard.inner = Some(g.unwrap_or_else(PoisonError::into_inner));
     }
 
     /// Wakes one waiter.
     pub fn notify_one(&self) {
+        model::on_condvar_notify(loc_of(self), false);
         self.inner.notify_one();
     }
 
     /// Wakes all waiters.
     pub fn notify_all(&self) {
+        model::on_condvar_notify(loc_of(self), true);
         self.inner.notify_all();
     }
 }

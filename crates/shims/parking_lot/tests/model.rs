@@ -104,19 +104,40 @@ fn model_shim_rwlock_readers_see_consistent_pairs() {
 }
 
 #[test]
-fn model_rejects_condvar_waits() {
-    let cfg = ModelConfig {
-        schedules: 8,
-        ..ModelConfig::default()
-    };
-    let v = expect_violation("parking_lot-condvar-rejected", &cfg, || {
-        let m = Mutex::new(false);
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        cv.wait(&mut g);
+fn model_condvar_wait_releases_the_mutex_and_a_lost_notify_deadlocks() {
+    // A waiter sleeps until a setter raises the flag. Tested under the
+    // mutex the wait releases, the flag cannot be missed; tested before
+    // taking it, the set and its notify can land in between, nobody is
+    // queued to hear them, and the explorer reports the stuck wait.
+    fn scenario(locked_check: bool) {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let p2 = Arc::clone(&pair);
+        let waiter = thread::spawn(move || {
+            let (m, cv) = &*p2;
+            if locked_check {
+                let mut g = m.lock();
+                while !*g {
+                    cv.wait(&mut g);
+                }
+            } else if !*m.lock() {
+                let mut g = m.lock();
+                cv.wait(&mut g);
+                assert!(*g, "woken only by the set");
+            }
+        });
+        let (m, cv) = &*pair;
+        *m.lock() = true;
+        cv.notify_one();
+        waiter.join();
+    }
+    let explored = explore("parking_lot-condvar", || scenario(true));
+    assert_eq!(explored.truncated, 0);
+    let cfg = ModelConfig::default();
+    let v = expect_violation("parking_lot-condvar-unlocked-check", &cfg, || {
+        scenario(false);
     });
     assert!(
-        v.message.contains("Condvar::wait is not supported"),
+        v.message.contains("deadlock") && v.message.contains("CondWake"),
         "got: {}",
         v.message
     );

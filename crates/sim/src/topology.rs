@@ -95,26 +95,10 @@ impl Topology {
         NodeId(p.0 / self.procs_per_node)
     }
 
-    /// Index of processor `p` within its physical node (0-based).
-    #[inline]
-    pub fn local_index(&self, p: ProcId) -> usize {
-        p.0 % self.procs_per_node
-    }
-
     /// Processors hosted on physical node `n`.
     pub fn procs_on(&self, n: NodeId) -> impl Iterator<Item = ProcId> {
         let base = n.0 * self.procs_per_node;
         (base..base + self.procs_per_node).map(ProcId)
-    }
-
-    /// All processors in the cluster.
-    pub fn all_procs(&self) -> impl Iterator<Item = ProcId> {
-        (0..self.total_procs()).map(ProcId)
-    }
-
-    /// All physical nodes.
-    pub fn all_nodes(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes).map(NodeId)
     }
 }
 
@@ -207,15 +191,6 @@ impl NodeMap {
         }
     }
 
-    /// Number of processors per protocol node.
-    #[inline]
-    pub fn procs_per_pnode(&self, topo: &Topology) -> usize {
-        match self {
-            NodeMap::Physical => topo.procs_per_node(),
-            NodeMap::PerProcessor => 1,
-        }
-    }
-
     /// Physical node hosting protocol node `pn` (for link/bus charging).
     #[inline]
     pub fn physical_of(&self, topo: &Topology, pn: NodeId) -> NodeId {
@@ -251,7 +226,6 @@ mod tests {
         assert_eq!(t.node_of(ProcId(3)), NodeId(0));
         assert_eq!(t.node_of(ProcId(4)), NodeId(1));
         assert_eq!(t.node_of(ProcId(15)), NodeId(3));
-        assert_eq!(t.local_index(ProcId(6)), 2);
         let on1: Vec<_> = t.procs_on(NodeId(1)).collect();
         assert_eq!(on1, vec![ProcId(4), ProcId(5), ProcId(6), ProcId(7)]);
     }

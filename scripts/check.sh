@@ -4,8 +4,9 @@
 #   fmt    — no diffs allowed
 #   clippy — workspace lints (Cargo.toml [workspace.lints]) as hard errors,
 #            across every target (libs, bins, tests, benches, examples)
-#   lint   — the concurrency lint (scripts/lint.sh: relaxed-ok tags,
-#            std-primitive bans, recovery no-panic scan)
+#   lint   — the textual lint (scripts/lint.sh: relaxed-ok tags,
+#            std-primitive bans, recovery no-panic scan, environment-knob
+#            ban, knob census, engine-fork census)
 #   test   — the full workspace suite, including the model_* interleaving
 #            explorations (DESIGN.md §11); note `--workspace`: a bare
 #            `cargo test` at the root only tests the facade package

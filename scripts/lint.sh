@@ -30,6 +30,12 @@
 #       it — by at least one non-test, non-comment line outside
 #       crates/core/src/run.rs; a field nobody sets is a dead knob and the
 #       lint names it.
+#   engine-fork census — there is one way to wait and one run loop. Outside
+#       tests and comments, code that asks which engine runs
+#       (`det.is_some()`, `det_workers`, `= &self.det`, `= &self.ctx.det`) may sit only in the
+#       functions registered below; `Condvar` only in crates/core/src/sync.rs
+#       and the shims; and sync.rs has exactly one condvar wait and one
+#       `gate_block` call, proc.rs exactly one `std::thread::scope`.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -140,9 +146,12 @@ echo "lint(env-knobs): no environment variables read outside crates/bench and cr
 # --- knob census: one configuration type, no dead fields -------------------
 
 gone='ClusterConfig|to_config_with|with_det_quantum|DET_QUANTUM_DEFAULT|RdmaTransport|CxlTransport|direct_read_transport'
+# The second run loop and the carriers' blocking twins (PR 18), and the two
+# fault-rule knobs nobody turned.
+gone="$gone"'|\b(run_seq|run_det|try_acquire_for|try_wait|BarrierArrival|FaultScope)\b|\.(windowed|scoped)\('
 revived="$(grep -rnE --include='*.rs' "$gone" crates src tests examples || true)"
 if [[ -n "$revived" ]]; then
-    echo "FAIL lint(knob-census): a deleted configuration name is back (RunSpec is the only run configuration; MemoryChannel the only fabric)" >&2
+    echo "FAIL lint(knob-census): a deleted name is back (RunSpec is the only run configuration, MemoryChannel the only fabric, Cluster::run the only run loop, one acquiring method per carrier, fault rules apply everywhere)" >&2
     echo "$revived" >&2
     fail=1
 fi
@@ -180,5 +189,55 @@ for f in $fields; do
     fi
 done
 echo "lint(knob-census): one configuration type; $n_fields RunSpec fields checked for a non-test setter"
+
+# --- engine-fork census: one way to wait, one run loop ---------------------
+
+# `file:function` of every place allowed to ask which engine runs (`-` is
+# file scope: the RunSpec field itself).
+FORK_REGISTRY="
+crates/core/src/engine.rs:det_checkpoint
+crates/core/src/engine.rs:det_finish
+crates/core/src/engine.rs:gate_block
+crates/core/src/engine.rs:gate_enter
+crates/core/src/engine.rs:gate_exit
+crates/core/src/engine.rs:unblock_all
+crates/core/src/proc.rs:run
+crates/core/src/run.rs:-
+crates/core/src/run.rs:new
+crates/core/src/run.rs:with_det_parallel
+crates/core/src/sync.rs:wait_until
+"
+forks="$(find crates src examples -name '*.rs' -not -path '*/tests/*' -exec awk '
+    FNR == 1 { live = 1; fn = "-" }
+    /#\[cfg\(test\)\]/ { live = 0 }
+    !live || /^ *\/\// { next }
+    /(^|[ (])fn [a-z_0-9]+/ { fn = $0; sub(/.*fn /, "", fn); sub(/[^a-z_0-9].*/, "", fn) }
+    /det\.is_some\(\)|det_workers|= &self\.(ctx\.)?det[^a-z_]/ { print FILENAME ":" fn }
+' {} + | sort -u)"
+unregistered="$(grep -vxFf <(grep . <<<"$FORK_REGISTRY") <<<"$forks" || true)"
+if [[ -n "$unregistered" ]]; then
+    echo "FAIL lint(engine-forks): code outside the registered gate helpers, Cluster::run and the wait helper asks which engine runs" >&2
+    echo "$unregistered" >&2
+    fail=1
+fi
+condvars="$(grep -rn --include='*.rs' 'Condvar' crates src tests examples \
+    | grep -vE '^crates/(shims/|core/src/sync\.rs:)' || true)"
+if [[ -n "$condvars" ]]; then
+    echo "FAIL lint(engine-forks): Condvar outside crates/core/src/sync.rs and the shims (a processor sleeps in sync::wait_until, nowhere else)" >&2
+    echo "$condvars" >&2
+    fail=1
+fi
+# Counts `pattern` on the non-test, non-comment lines of `file`.
+live_count() {
+    awk -v pat="$1" '/#\[cfg\(test\)\]/ { exit } !/^ *\/\// && $0 ~ pat { n++ } END { print n + 0 }' "$2"
+}
+for want in 'cv\.wait\(@crates/core/src/sync.rs' 'gate_block\(@crates/core/src/sync.rs' 'std::thread::scope\(@crates/core/src/proc.rs'; do
+    n="$(live_count "${want%@*}" "${want#*@}")"
+    if [[ "$n" != 1 ]]; then
+        echo "FAIL lint(engine-forks): ${want#*@} has $n sites matching '${want%@*}', want exactly 1" >&2
+        fail=1
+    fi
+done
+echo "lint(engine-forks): $(wc -l <<<"$forks") registered places know which engine runs; one condvar wait, one gate_block, one run loop"
 
 exit "$fail"
