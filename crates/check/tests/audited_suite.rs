@@ -117,6 +117,44 @@ fn unsynchronized_remote_write_is_reported_as_a_race() {
     );
 }
 
+/// A racy program on the det engine at one worker: each processor updates
+/// its own word of a shared page under its own lock and reads its
+/// neighbour's word, so no lock orders the neighbour's flush before the
+/// read. The det run is a pure function of its spec, so its trace is fixed,
+/// and so is the auditor's exact report on it: races in the order the
+/// replay found them, byte for byte.
+#[test]
+fn racy_program_report_is_pinned_on_the_det_engine() {
+    let spec = RunSpec::new(Topology::new(4, 1), ProtocolKind::TwoLevel)
+        .with_sync(SyncSpec {
+            locks: 4,
+            barriers: 2,
+            flags: 2,
+        })
+        .with_det_parallel(1)
+        .with_audit(true);
+    let mut cluster = Cluster::new(spec);
+    let a = cluster.alloc(4);
+    cluster.run(|p| {
+        let (me, next) = (p.id(), (p.id() + 1) % p.nprocs());
+        for _ in 0..3 {
+            p.lock(me);
+            let v = p.read_u64(a + next);
+            p.write_u64(a + me, v + 1);
+            p.unlock(me);
+        }
+    });
+    let report = audit(&cluster.take_trace());
+    assert!(report.is_clean(), "{}", report.summary());
+    assert_eq!(
+        report.summary(),
+        "309 events, 0 violations, 2 races
+  [race] page 0 word 2: node 2 write vs proc 1 (node 1)
+  [race] page 0 word 3: node 3 write vs proc 2 (node 2)
+"
+    );
+}
+
 /// The audit switch must not change results: same checksums with and
 /// without tracing (the recorder only observes).
 #[test]

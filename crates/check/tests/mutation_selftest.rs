@@ -5,7 +5,7 @@
 //! write-notice pipeline), verified clean, and then mutated in targeted
 //! ways — each mutation must produce its specific violation kind.
 
-use cashmere_check::{audit, ViolationKind};
+use cashmere_check::{audit, AuditReport, ViolationKind};
 use cashmere_core::{
     Engine, ProtocolEvent, ProtocolKind, RunSpec, SyncSpec, Topology, TraceEvent, PAGE_WORDS,
 };
@@ -52,6 +52,27 @@ fn base_trace() -> Vec<TraceEvent> {
     e.recorder().expect("audited engine has a recorder").take()
 }
 
+/// Audits `t` and checks the report's exact summary against `want`, pinned
+/// from the auditor as it stood before its state tables were rewritten: the
+/// verdict on this trace, every detail and its order, may not move.
+fn pinned(t: &[TraceEvent], want: &str) -> AuditReport {
+    let r = audit(t);
+    assert_eq!(r.summary(), want, "the pinned report moved");
+    r
+}
+
+/// Pinned reports of the three mutations the coverage test repeats.
+const CLOCK_COLLISION: &str = "89 events, 1 violations, 0 races
+  [TimestampCollision] seq 4: node 0 drew logical timestamp 1 twice
+";
+const FABRICATED_NOTICE: &str = "88 events, 2 violations, 0 races
+  [WnFabricated] seq 31: node 1 drained a notice for page 1 from node 99 that was never posted
+  [WnDistributeMissing] seq 18446744073709551615: node 1 drained 1 notice(s) for page 1 never distributed to local processors
+";
+const DUP_EXCLUSIVE: &str = "89 events, 1 violations, 0 races
+  [DupExclusive] seq 12: proc 1 (node 1) entered exclusive mode for page 1 already held by node 1
+";
+
 #[test]
 fn base_trace_is_rich_and_clean() {
     let t = base_trace();
@@ -78,7 +99,7 @@ fn base_trace_is_rich_and_clean() {
     )));
     assert!(has(&|e| matches!(e, ProtocolEvent::ReleasePage { .. })));
 
-    let r = audit(&t);
+    let r = pinned(&t, "88 events, 0 violations, 0 races\n");
     assert!(
         r.is_clean(),
         "unmutated trace must audit clean:\n{}",
@@ -95,7 +116,7 @@ fn duplicated_clock_tick_is_a_timestamp_collision() {
         .unwrap();
     let dup = t[i].clone();
     t.insert(i + 1, dup);
-    let r = audit(&t);
+    let r = pinned(&t, CLOCK_COLLISION);
     assert!(
         r.kinds().contains(&ViolationKind::TimestampCollision),
         "{}",
@@ -114,7 +135,7 @@ fn fabricated_drain_item_is_caught() {
         // A notice from a node that never posted one.
         items.push((99, 1));
     }
-    let r = audit(&t);
+    let r = pinned(&t, FABRICATED_NOTICE);
     assert!(
         r.kinds().contains(&ViolationKind::WnFabricated),
         "{}",
@@ -131,7 +152,7 @@ fn duplicated_exclusive_entry_is_caught() {
         .unwrap();
     let dup = t[i].clone();
     t.insert(i + 1, dup);
-    let r = audit(&t);
+    let r = pinned(&t, DUP_EXCLUSIVE);
     assert!(
         r.kinds().contains(&ViolationKind::DupExclusive),
         "{}",
@@ -150,7 +171,9 @@ fn diff_applied_over_concurrent_writes_is_caught() {
             conflicts: 1,
         },
     });
-    let r = audit(&t);
+    let r = pinned(&t, "89 events, 1 violations, 0 races
+  [DiffInConflict] seq 88: incoming diff for page 1 on node 0 overwrote 1 concurrently-written word(s)
+");
     assert!(
         r.kinds().contains(&ViolationKind::DiffInConflict),
         "{}",
@@ -181,7 +204,12 @@ fn dropped_release_flush_is_caught() {
         !matches!(te.ev,
             ProtocolEvent::ReleasePage { proc: p, page: g, .. } if p == proc && g == page)
     });
-    let r = audit(&t);
+    let r = pinned(
+        &t,
+        "87 events, 1 violations, 0 races
+  [MissingReleaseFlush] seq 87: proc 0 release skipped dirty page 0 (dirtied at seq 6)
+",
+    );
     assert!(
         r.kinds().contains(&ViolationKind::MissingReleaseFlush),
         "{}",
@@ -203,7 +231,12 @@ fn exclusive_directory_word_without_write_perm_is_caught() {
         *exclusive = true;
         *perm = 1; // Read
     }
-    let r = audit(&t);
+    let r = pinned(
+        &t,
+        "88 events, 1 violations, 0 races
+  [DirPermInvariant] seq 5: node 0 published page 0 exclusive with perm 1 (exclusive implies write)
+",
+    );
     assert!(
         r.kinds().contains(&ViolationKind::DirPermInvariant),
         "{}",
@@ -234,7 +267,11 @@ fn home_migration_after_first_fetch_is_caught() {
             },
         },
     );
-    let r = audit(&t);
+    let r = pinned(&t, "89 events, 3 violations, 0 races
+  [LateHomeMigration] seq 9: page 1 migrated to node 2 after its first fetch
+  [HomeMigrationOutsideLock] seq 9: node 0 migrated page 1 without holding the MC lock (holder: None)
+  [DuplicateHomeMigration] seq 9: page 1 migrated twice
+");
     assert!(
         r.kinds().contains(&ViolationKind::LateHomeMigration),
         "{}",
@@ -261,7 +298,7 @@ fn mutations_cover_at_least_three_distinct_kinds() {
         .unwrap();
     let dup = t[i].clone();
     t.insert(i + 1, dup);
-    kinds.extend(audit(&t).kinds());
+    kinds.extend(pinned(&t, CLOCK_COLLISION).kinds());
 
     // Fabricated notice.
     let mut t = base_trace();
@@ -273,7 +310,7 @@ fn mutations_cover_at_least_three_distinct_kinds() {
             items.push((99, 1));
         }
     }
-    kinds.extend(audit(&t).kinds());
+    kinds.extend(pinned(&t, FABRICATED_NOTICE).kinds());
 
     // Duplicate exclusive holder.
     let mut t = base_trace();
@@ -283,7 +320,7 @@ fn mutations_cover_at_least_three_distinct_kinds() {
         .unwrap();
     let dup = t[i].clone();
     t.insert(i + 1, dup);
-    kinds.extend(audit(&t).kinds());
+    kinds.extend(pinned(&t, DUP_EXCLUSIVE).kinds());
 
     assert!(
         kinds.len() >= 3,

@@ -8,7 +8,7 @@
 //! apply, exactly the stream a build without the sequence check would emit.
 //! The auditor must call that [`ViolationKind::DuplicateApplied`].
 
-use cashmere_check::{audit, ViolationKind};
+use cashmere_check::{audit, AuditReport, ViolationKind};
 use cashmere_core::{
     Engine, FaultKind, FaultPlan, FaultRule, ProtocolEvent, ProtocolKind, RunSpec, SyncSpec,
     Topology, TraceEvent, PAGE_WORDS,
@@ -75,6 +75,15 @@ fn faulty_trace() -> (Vec<TraceEvent>, u64) {
     (trace, recovered.total())
 }
 
+/// Audits `t` and checks the report's exact summary against `want`, pinned
+/// from the auditor as it stood before its state tables were rewritten: the
+/// verdict on this trace, every detail and its order, may not move.
+fn pinned(t: &[TraceEvent], want: &str) -> AuditReport {
+    let r = audit(t);
+    assert_eq!(r.summary(), want, "the pinned report moved");
+    r
+}
+
 #[test]
 fn faulty_run_recovers_and_audits_clean() {
     let (t, recovered) = faulty_trace();
@@ -89,7 +98,7 @@ fn faulty_run_recovers_and_audits_clean() {
     assert!(has(&|e| matches!(e, ProtocolEvent::BreakTimeout { .. })));
     assert!(recovered > 0, "recovery counters must be nonzero");
 
-    let r = audit(&t);
+    let r = pinned(&t, "99 events, 0 violations, 0 races\n");
     assert!(
         r.is_clean(),
         "recovered faulty run must audit clean:\n{}",
@@ -112,7 +121,11 @@ fn disabling_duplicate_suppression_is_caught() {
         }
     }
     assert!(flipped > 0, "scenario must contain suppressed duplicates");
-    let r = audit(&t);
+    let r = pinned(&t, "99 events, 3 violations, 0 races
+  [DuplicateApplied] seq 13: node 1 applied reply seq 1 for page 1 fresh, but seq 1 was already applied (replayed duplicate double-applied against the twin)
+  [DuplicateApplied] seq 28: node 2 applied reply seq 1 for page 1 fresh, but seq 1 was already applied (replayed duplicate double-applied against the twin)
+  [DuplicateApplied] seq 51: node 1 applied reply seq 2 for page 1 fresh, but seq 2 was already applied (replayed duplicate double-applied against the twin)
+");
     assert!(
         r.kinds().contains(&ViolationKind::DuplicateApplied),
         "{}",
@@ -139,7 +152,9 @@ fn losing_the_retried_fetch_is_caught() {
             || !matches!(te.ev,
                 ProtocolEvent::Fetch { pnode: n, page: g } if n == pnode && g == page)
     });
-    let r = audit(&t);
+    let r = pinned(&t, "97 events, 1 violations, 0 races
+  [UnrecoveredTimeout] seq 18446744073709551615: node 1 has 4 unrecovered fetch timeout(s) for page 1 (first at seq 9)
+");
     assert!(
         r.kinds().contains(&ViolationKind::UnrecoveredTimeout),
         "{}",
