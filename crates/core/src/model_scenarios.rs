@@ -34,6 +34,7 @@ use crate::engine::Engine;
 use crate::mc_lock::McLock;
 use crate::run::RunSpec;
 use crate::sync::CarrierFlag;
+use crate::trace::{ProtocolEvent, TraceRecorder};
 use crate::write_notice::{NleList, NoticeBoard, ProcNoticeList};
 
 /// Striped write-notice lists: `posters` threads insert disjoint page
@@ -638,6 +639,51 @@ pub fn carrier_wait(mutant: bool) {
     ctx.clock.wait_until(9_999);
     flag.set(&ctx, 0);
     assert_eq!(waiter.join(), 9_999, "the wait ends at the set");
+}
+
+/// The trace recorder's sequencing (`core::trace`): `threads` emitters each
+/// record `per` events, interleaved by the recorder's lock. Taken whole, the
+/// buffer must be numbered `0..n` in order — no gap, no repeat, no sort —
+/// with each emitter's events in program order. With `mutant`, the number
+/// is drawn in one critical section and the event pushed in a second, and
+/// the explorer must find the schedule where another emitter's push lands
+/// in between: the buffer leaves seq order.
+pub fn trace_seq_order(threads: usize, per: usize, mutant: bool) {
+    let r = Arc::new(TraceRecorder::new());
+    let hs: Vec<_> = (0..threads)
+        .map(|pnode| {
+            let r = Arc::clone(&r);
+            thread::spawn(move || {
+                for page in 0..per {
+                    let ev = ProtocolEvent::Fetch { pnode, page };
+                    if mutant {
+                        r.emit_mutant_seq_before_lock(ev);
+                    } else {
+                        r.emit(ev);
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in hs {
+        h.join();
+    }
+    let evs = r.take();
+    assert_eq!(evs.len(), threads * per, "every emission recorded");
+    assert!(
+        evs.iter().zip(0..).all(|(e, i)| e.seq == i),
+        "trace buffer out of seq order"
+    );
+    let mut next = vec![0; threads];
+    for e in &evs {
+        if let ProtocolEvent::Fetch { pnode, page } = e.ev {
+            assert_eq!(
+                page, next[pnode],
+                "emitter {pnode}'s events in program order"
+            );
+            next[pnode] += 1;
+        }
+    }
 }
 
 /// Mutual exclusion through the Memory Channel lock: `nodes` threads (one
