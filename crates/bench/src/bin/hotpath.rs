@@ -7,7 +7,7 @@
 //! * **empty drains** — the three write-notice lists drained with nothing
 //!   pending, at several cluster sizes: what an acquire or a release pays
 //!   when there is no coherence work, which must not grow with the cluster
-//!   (the benchmark's `write_notice.drain64_ns` times the full-bin case);
+//!   (the benchmark's `write_notice.drain64_ns` times the full-list case);
 //! * **det gate hand-off** — a gate handed from one processor's host
 //!   thread to another's, the scheduler's floor per gate;
 //! * **workload sampling** — the service-trace generator's per-op path.
@@ -71,12 +71,15 @@ fn main() {
     // Each list holds one entry going in, so all but the first of the
     // timed drains are of a list that has been occupied and emptied, not
     // of a never-touched one.
-    for bins in [8, 64, 1024] {
-        let board = NoticeBoard::new(bins, DirectoryMode::LockFree, 0);
-        board.post(0, bins - 1, 1, 0);
-        empty_drain(format!("NoticeBoard::drain, empty ({bins} bins)"), || {
-            black_box(board.drain(black_box(0)));
-        });
+    for pnodes in [8, 64, 1024] {
+        let board = NoticeBoard::new(pnodes, DirectoryMode::LockFree, 0);
+        board.post(0, pnodes - 1, 1, 0);
+        empty_drain(
+            format!("NoticeBoard::drain, empty ({pnodes} nodes)"),
+            || {
+                black_box(board.drain(black_box(0)));
+            },
+        );
     }
     for posters in [32, 1024] {
         let nle = NleList::new(posters);

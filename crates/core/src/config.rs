@@ -136,27 +136,37 @@ impl Default for SyncSpec {
 /// cluster-wide lock; `Sparse` is the beyond-the-paper scaling design
 /// (DESIGN.md §12) that shards entries across home nodes instead of
 /// replicating them everywhere.
+///
+/// Every mode states its *modeled* memory (what the simulated cluster's
+/// Memory Channel space holds, reported as `DirUsage::mc_bytes`) and its
+/// *host* memory (what the simulator allocates) separately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DirectoryMode {
     /// One word per node per entry, replicated on every node; no locks (the
-    /// paper's design). O(pages × nodes) memory per node and a per-replica
-    /// broadcast per update.
+    /// paper's design). Modeled: O(pages × nodes) words per node,
+    /// O(pages × nodes²) in all, and an `8 × (nodes − 1)`-byte broadcast per
+    /// update. Host: one shared copy, O(pages × nodes) words, and one store
+    /// per update.
     #[default]
     LockFree,
-    /// Compressed entries protected by global locks (the ablation).
+    /// Compressed entries protected by global locks (the ablation). Memory,
+    /// modeled and host, as [`DirectoryMode::LockFree`].
     GlobalLock,
     /// Home-sharded entries: each page's directory entry lives only on its
     /// home shard (`page % nodes`), readers consult the shard through a
     /// per-node cache guarded by an invalidation-on-change word, and updates
     /// are O(1) messages instead of an O(nodes) broadcast (DESIGN.md §12).
-    /// O(pages) total directory memory. Lock-free like the paper's design.
+    /// Modeled: one copy, O(pages × nodes / 32) words. Host: that copy plus
+    /// the per-node caches, O(pages × nodes) words, plus a receive-mapping
+    /// slot per endpoint in each of the `nodes` shard regions. Lock-free
+    /// like the paper's design.
     Sparse,
 }
 
 impl DirectoryMode {
     /// How many physical nodes the replicated (paper) directory comfortably
-    /// serves. Beyond this, its O(pages × nodes) memory and O(nodes)
-    /// broadcast per update dominate (DESIGN.md §12).
+    /// serves. Beyond this, its modeled O(pages × nodes) memory per node and
+    /// O(nodes) broadcast per update dominate (DESIGN.md §12).
     pub const REPLICATED_NODE_LIMIT: usize = 8;
 
     /// The default directory for `topology`: the paper's replicated

@@ -1,9 +1,19 @@
 //! The replicated global page directory (§2.3).
 //!
-//! Every shared page has a directory entry replicated on each protocol node
-//! through a Memory Channel region (receive mapping everywhere, transmit
-//! mapping everywhere, *no* loop-back — writers double their writes into
-//! their own copy by hand, exactly as the paper describes in Figure 1).
+//! In the paper every shared page has a directory entry replicated on each
+//! protocol node through a Memory Channel region (receive mapping
+//! everywhere, no loop-back — writers double their writes into their own
+//! copy by hand, Figure 1).
+//!
+//! **Modeled memory** keeps that layout: [`DirUsage::mc_bytes`] counts a
+//! full replica per node, `8 × pages × (pnodes + 1) × pnodes` bytes, and
+//! every update is charged as a broadcast of `8 × (pnodes − 1)` bytes
+//! through the writer's link. **Host memory** holds one copy: a single
+//! array of `pages × (pnodes + 1)` words that every node reads. A write is
+//! one store there, visible to all nodes at once, plus the same link charge
+//! a Memory Channel write pays. The replicas could only differ while a
+//! broadcast is in flight, and under the det engine every directory
+//! operation runs inside a gate, where nothing is in flight.
 //!
 //! An entry consists of:
 //!
@@ -21,7 +31,8 @@
 //! [`DirectoryMode::GlobalLock`] switches in the §3.3.5 ablation: entries
 //! are conceptually compressed into a single word, so every modification
 //! must take a cluster-wide lock — modeled by a per-entry virtual-time gate
-//! plus the paper's higher (16 µs vs 5 µs) update cost.
+//! plus the paper's higher (16 µs vs 5 µs) update cost. Its memory is the
+//! replicated layout's, modeled and host.
 //!
 //! # Sparse mode (beyond the paper — DESIGN.md §12)
 //!
@@ -29,23 +40,27 @@
 //! past the paper's 8×4 cluster: page `p`'s entry lives *only* on its home
 //! shard (`p % pnodes`), in a compact per-shard region — a change-version
 //! word, a home word, a single cluster-wide exclusive-claim word, and a
-//! 2-bit-per-node permission mask. Total directory memory is O(pages), not
-//! O(pages × nodes). Readers keep a node-local cache of each entry guarded
-//! by the entry's *invalidation-on-change* word: the common read is one
-//! sequentially consistent load of that word plus a couple of cached loads;
-//! only a version change pays a refill. Updates touch the one shard copy
-//! (host-side atomics standing in for the remote-atomic operations of a
-//! modern interconnect) and charge a single O(1) message through the
-//! sender's link via the tree primitive — contrast the replicated mode's
-//! per-replica broadcast. Exclusive-mode safety comes from the claim word's
-//! compare-and-swap plus the publish-claim-then-validate protocol the
-//! engine already runs: the version word's SeqCst bump/probe pair
-//! guarantees two racing claimants cannot both miss each other.
+//! 2-bit-per-node permission mask. Modeled memory is that single copy,
+//! O(pages × pnodes / 32) words; host memory adds the per-node read caches,
+//! O(pages × pnodes) words in all, and the transport's receive-mapping slot
+//! per endpoint in each shard region. Readers keep a node-local cache of each
+//! entry guarded by the entry's *invalidation-on-change* word: the common
+//! read is one sequentially consistent load of that word plus a couple of
+//! cached loads; only a version change pays a refill. Updates touch the one
+//! shard copy (host-side atomics standing in for the remote-atomic
+//! operations of a modern interconnect) and charge a single O(1) message
+//! through the sender's link via the tree primitive — contrast the
+//! replicated mode's per-replica broadcast. Exclusive-mode safety comes
+//! from the claim word's compare-and-swap plus the
+//! publish-claim-then-validate protocol the engine already runs: the
+//! version word's SeqCst bump/probe pair guarantees two racing claimants
+//! cannot both miss each other. The replicated modes get the same
+//! guarantee from SeqCst stores and loads on their one array.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use cashmere_memchan::{RegionId, RxBuffer, TREE_FANOUT};
+use cashmere_memchan::{RxBuffer, TREE_FANOUT};
 use cashmere_model::ModelAtomicU64;
 use cashmere_sim::{Counter, Nanos, Resource};
 use cashmere_transport::Transport;
@@ -227,8 +242,9 @@ pub struct DirUsage {
     /// Cache refills (sparse mode only).
     pub misses: u64,
     pub miss_bytes: u64,
-    /// Memory Channel bytes backing the directory: every node's replica in
-    /// the replicated modes, the single sharded copy in sparse mode.
+    /// Modeled Memory Channel bytes backing the directory: every node's
+    /// replica in the replicated modes (the host keeps one copy), the
+    /// single sharded copy in sparse mode.
     pub mc_bytes: u64,
     /// Node-local RAM spent on sparse read caches (0 when replicated).
     pub cache_bytes: u64,
@@ -269,18 +285,16 @@ enum SparseSrc {
 /// global-lock ablation) or home-sharded ([`DirectoryMode::Sparse`]).
 pub struct Directory {
     mc: Arc<dyn Transport>,
-    region: RegionId,
     pnodes: usize,
     pages: usize,
     mode: DirectoryMode,
-    /// Cached per-node receive-buffer handles, one per protocol node. Every
-    /// directory read is an atomic load straight through the handle — no
-    /// region-table lock, no `Arc` bump per word. This is the host-side
-    /// analogue of the paper's lock-free directory (§2.3): the words are
-    /// single-writer, so readers never need mutual exclusion, only the
-    /// acquire/release ordering the atomics already provide (DESIGN.md §10).
-    /// Empty in sparse mode.
-    replicas: Vec<RxBuffer>,
+    /// The replicated modes' entries, `pages × (pnodes + 1)` words: the one
+    /// host copy every node's reads load from. The words are single-writer
+    /// (§2.3), so readers need no mutual exclusion. Stores and loads are
+    /// SeqCst so that two claimants of exclusive mode, each writing its word
+    /// and then reading the other's, cannot both miss each other. Empty in
+    /// sparse mode.
+    words: Box<[ModelAtomicU64]>,
     /// Sparse-mode shards and caches (`None` in the replicated modes).
     sparse: Option<SparseDir>,
     /// Virtual-time serialization gates for the GlobalLock ablation (one per
@@ -294,8 +308,8 @@ pub struct Directory {
 
 impl Directory {
     /// Builds the directory for `pages` pages over `pnodes` protocol nodes:
-    /// one region replicated on every node in the replicated modes, or one
-    /// compact region per home shard in sparse mode.
+    /// one host array standing for every node's replica in the replicated
+    /// modes, or one compact region per home shard in sparse mode.
     ///
     /// # Panics
     ///
@@ -308,22 +322,12 @@ impl Directory {
             (1..=MAX_PNODES).contains(&pnodes),
             "directory supports 1..={MAX_PNODES} protocol nodes, got {pnodes}"
         );
-        let (region, replicas, sparse) = match mode {
+        let (words, sparse) = match mode {
             DirectoryMode::LockFree | DirectoryMode::GlobalLock => {
                 let words = pages
                     .checked_mul(pnodes + 1)
                     .expect("directory word index overflows usize at this pages × nodes");
-                let region = mc.create_region(words.max(1), false);
-                for e in 0..pnodes {
-                    mc.attach_rx(region, e);
-                }
-                let replicas = (0..pnodes)
-                    .map(|e| {
-                        mc.rx_buffer(region, e)
-                            .expect("replica attached immediately above")
-                    })
-                    .collect();
-                (region, replicas, None)
+                ((0..words).map(|_| ModelAtomicU64::new(0)).collect(), None)
             }
             DirectoryMode::Sparse => {
                 let entry_words = F_MASK0 + pnodes.div_ceil(32);
@@ -353,8 +357,7 @@ impl Directory {
                     })
                     .collect();
                 (
-                    RegionId(usize::MAX),
-                    Vec::new(),
+                    Box::default(),
                     Some(SparseDir {
                         entry_words,
                         shards,
@@ -369,11 +372,10 @@ impl Directory {
         };
         Self {
             mc,
-            region,
             pnodes,
             pages,
             mode,
-            replicas,
+            words,
             sparse,
             gates,
             traffic: DirTraffic::default(),
@@ -399,6 +401,15 @@ impl Directory {
 
     fn home_idx(&self, page: usize) -> usize {
         self.entry_base(page) + self.pnodes
+    }
+
+    /// Replicated-mode update from `me`: one store into the host array,
+    /// charged as the Memory Channel broadcast of one 8-byte word (the same
+    /// link reservation and write latency a region write pays).
+    fn publish(&self, idx: usize, me: usize, val: u64, now: Nanos) -> Nanos {
+        self.traffic.updates.inc();
+        self.words[idx].store(val, Ordering::SeqCst);
+        self.mc.charge_link(me, 8, now)
     }
 
     // --- sparse-mode plumbing (DESIGN.md §12) ---------------------------
@@ -550,13 +561,13 @@ impl Directory {
     }
 
     /// Reads node `pnode`'s word of `page`'s entry as seen by `reader`: a
-    /// single atomic load from `reader`'s local replica in the replicated
-    /// modes; in sparse mode, a change-word probe plus cached mask/claim
-    /// loads (DESIGN.md §12).
+    /// single atomic load from the host array in the replicated modes
+    /// (`reader` only matters in sparse mode); in sparse mode, a
+    /// change-word probe plus cached mask/claim loads (DESIGN.md §12).
     #[inline]
     pub fn read_word(&self, page: usize, pnode: usize, reader: usize) -> DirWord {
         if self.sparse.is_none() {
-            return DirWord::unpack(self.replicas[reader].load(self.word_idx(page, pnode)));
+            return DirWord::unpack(self.words[self.word_idx(page, pnode)].load(Ordering::SeqCst));
         }
         let src = self.sparse_sync(page, reader);
         let mask = self.sparse_field(page, reader, src, F_MASK0 + pnode / 32);
@@ -575,10 +586,10 @@ impl Directory {
         }
     }
 
-    /// Writes `me`'s own word of `page`'s entry. Replicated modes:
-    /// broadcast over the Memory Channel plus the manual double into the
-    /// local replica (under [`DirectoryMode::GlobalLock`] the write also
-    /// serializes through the entry's global-lock gate). Sparse mode: CAS
+    /// Writes `me`'s own word of `page`'s entry. Replicated modes: one
+    /// store, charged as a Memory Channel broadcast (under
+    /// [`DirectoryMode::GlobalLock`] the write also serializes through the
+    /// entry's global-lock gate). Sparse mode: CAS
     /// transitions on the home shard's single copy followed by the
     /// invalidation-on-change bump, charged as one O(1) message. Returns
     /// the completion time.
@@ -604,11 +615,7 @@ impl Directory {
                 self.gates[page].acquire(now, hold)
             }
         };
-        self.traffic.updates.inc();
-        let idx = self.word_idx(page, me);
-        let done = self.mc.write(self.region, me, idx, w.pack(), start);
-        self.replicas[me].store(idx, w.pack());
-        done
+        self.publish(self.word_idx(page, me), me, w.pack(), start)
     }
 
     /// A deliberately wrong sparse `write_my_word` kept for the model
@@ -640,15 +647,15 @@ impl Directory {
         self.sparse_update_charge(page, me, now)
     }
 
-    /// A deliberately wrong `write_my_word` kept for the model checker's
-    /// mutation battery (DESIGN.md §11): the manual local double is done as
+    /// A deliberately wrong replicated `write_my_word` kept for the model
+    /// checker's mutation battery (DESIGN.md §11): the word is written as
     /// *two* stores — a partial word carrying only the permission bits, then
     /// the full word. A reader's single atomic load can land between them
     /// and observe a word the writer never published (the torn state the
-    /// real single-store double rules out). The model tests assert the
-    /// explorer finds such a schedule within the default budget.
+    /// real single store rules out). The model tests assert the explorer
+    /// finds such a schedule within the default budget.
     #[doc(hidden)]
-    pub fn write_my_word_mutant_torn_local_double(
+    pub fn write_my_word_mutant_torn_store(
         &self,
         page: usize,
         me: usize,
@@ -662,10 +669,8 @@ impl Directory {
             exclusive: w.exclusive,
         });
         let idx = self.word_idx(page, me);
-        let done = self.mc.write(self.region, me, idx, w.pack(), now);
-        self.replicas[me].store(idx, w.pack() & 0b11);
-        self.replicas[me].store(idx, w.pack());
-        done
+        self.words[idx].store(w.pack() & 0b11, Ordering::SeqCst);
+        self.publish(idx, me, w.pack(), now)
     }
 
     /// Reads the home word as seen by `reader`. Returns `None` if no home
@@ -673,7 +678,7 @@ impl Directory {
     #[inline]
     pub fn read_home(&self, page: usize, reader: usize) -> Option<HomeInfo> {
         let v = if self.sparse.is_none() {
-            self.replicas[reader].load(self.home_idx(page))
+            self.words[self.home_idx(page)].load(Ordering::SeqCst)
         } else {
             let src = self.sparse_sync(page, reader);
             self.sparse_field(page, reader, src, F_HOME)
@@ -686,8 +691,8 @@ impl Directory {
     }
 
     /// Writes the home word (caller must hold the global home-selection
-    /// lock). Broadcast + local double in the replicated modes; a shard
-    /// store plus version bump in sparse mode.
+    /// lock). One store charged as a broadcast in the replicated modes; a
+    /// shard store plus version bump in sparse mode.
     pub fn write_home(&self, page: usize, me: usize, h: HomeInfo, now: Nanos) -> Nanos {
         emit(&self.rec, || ProtocolEvent::HomeWrite {
             pnode: me,
@@ -700,11 +705,7 @@ impl Directory {
             sh.fetch_add(self.shard_field(page, F_VERSION), 1);
             return self.sparse_update_charge(page, me, now);
         }
-        self.traffic.updates.inc();
-        let idx = self.home_idx(page);
-        let done = self.mc.write(self.region, me, idx, h.pack(), now);
-        self.replicas[me].store(idx, h.pack());
-        done
+        self.publish(self.home_idx(page), me, h.pack(), now)
     }
 
     /// Setup-time home initialization (round-robin assignment before the
@@ -716,10 +717,7 @@ impl Directory {
             sh.fetch_add(self.shard_field(page, F_VERSION), 1);
             return;
         }
-        let idx = self.home_idx(page);
-        for r in &self.replicas {
-            r.store(idx, h.pack());
-        }
+        self.words[self.home_idx(page)].store(h.pack(), Ordering::SeqCst);
     }
 
     /// Protocol nodes (≠ `exclude`) that currently hold a copy of `page`,
@@ -810,9 +808,9 @@ impl Directory {
         let t = &self.traffic;
         let (updates, probes, misses) = (t.updates.get(), t.probes.get(), t.misses.get());
         let (update_bytes, miss_bytes, mc_bytes, cache_bytes) = match &self.sparse {
-            // Every node holds a full replica of the directory region, and
-            // the hub fans each updated 8-byte word out to every other
-            // node's.
+            // Modeled, not host, bytes: every node holds a full replica of
+            // the directory region, and the hub fans each updated 8-byte
+            // word out to every other node's.
             None => (
                 8 * (self.pnodes as u64 - 1) * updates,
                 0,
@@ -878,7 +876,7 @@ mod tests {
     }
 
     #[test]
-    fn write_is_visible_on_all_replicas_including_writer() {
+    fn write_is_visible_to_every_reader_including_writer() {
         let d = dir(4, DirectoryMode::LockFree);
         let w = DirWord {
             perm: PermBits::Read,
@@ -887,7 +885,28 @@ mod tests {
         };
         d.write_my_word(2, 1, w, 0);
         for reader in 0..4 {
-            assert_eq!(d.read_word(2, 1, reader), w, "replica on node {reader}");
+            assert_eq!(d.read_word(2, 1, reader), w, "as read on node {reader}");
+        }
+    }
+
+    /// A replicated update costs exactly what a one-word Memory Channel
+    /// region write from the same node costs, queueing included.
+    #[test]
+    fn replicated_update_is_charged_as_a_region_write() {
+        let mc = build_transport(TransportConfig::new(vec![0, 1], 2));
+        let d = dir(2, DirectoryMode::LockFree);
+        let region = mc.create_region(1, false);
+        mc.attach_rx(region, 0);
+        mc.attach_rx(region, 1);
+        let w = DirWord {
+            perm: PermBits::Write,
+            ..Default::default()
+        };
+        for (me, now) in [(1, 100), (1, 100), (0, 7)] {
+            assert_eq!(
+                d.write_my_word(0, me, w, now),
+                mc.write(region, me, 0, w.pack(), now)
+            );
         }
     }
 

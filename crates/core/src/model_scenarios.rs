@@ -231,17 +231,16 @@ fn posters_racing_one_drainer(
     );
 }
 
-/// The notice board's occupancy summary (DESIGN.md §10): `posters`
-/// processors spread over `senders` nodes (poster `p` on node
-/// `p % senders + 1`, so with fewer nodes than posters siblings share a
-/// bin and race for its occupancy bit) post `per` notices each into
-/// destination 0 while one thread drains it — see
-/// [`posters_racing_one_drainer`] for the delivery assertions, here with
-/// `is_empty` as the emptiness claim and ascending sender order checked on
-/// every drain. With `mutant`, the drain clears the occupancy bits *after*
-/// popping, and the explorer must find the schedule where a post lands
-/// between the pops and the clear.
-pub fn notice_summary_exactly_once(
+/// The notice board's per-destination queue and its count (DESIGN.md §10):
+/// `posters` processors spread over `senders` nodes (poster `p` on node
+/// `p % senders + 1`, so with fewer nodes than posters siblings post as
+/// one sender) post `per` notices each into destination 0 while one thread
+/// drains it — see [`posters_racing_one_drainer`] for the delivery
+/// assertions, here with `is_empty` as the emptiness claim and ascending
+/// sender order checked on every drain. With `mutant`, the drain counts out
+/// *before* popping, and the explorer must find the schedule where a post
+/// counts in before that and pushes after the pops.
+pub fn notice_queue_exactly_once(
     posters: u32,
     senders: u32,
     per: u32,
@@ -264,7 +263,7 @@ pub fn notice_summary_exactly_once(
         move || prober.is_empty(0),
         move || {
             let d = if mutant {
-                drainer.drain_mutant_clear_after_pop(0)
+                drainer.drain_mutant_count_out_before_pop(0)
             } else {
                 drainer.drain(0)
             };
@@ -275,7 +274,11 @@ pub fn notice_summary_exactly_once(
             d.into_iter()
                 .map(|(from, page)| {
                     let p = (page / per) as usize;
-                    assert_eq!(from, p % senders as usize + 1, "notice in the wrong bin");
+                    assert_eq!(
+                        from,
+                        p % senders as usize + 1,
+                        "notice under the wrong sender"
+                    );
                     (p, page % per)
                 })
                 .collect()
@@ -317,15 +320,14 @@ pub fn nle_pending_flag(posters: u32, per: u32, drains: usize, mutant: bool) {
     );
 }
 
-/// The lock-free directory read fast path: a single writer publishes
-/// `words` distinct directory words while a reader polls both its own and
-/// the writer's replica (the broadcast path and the manual local double,
-/// respectively) up to `max_reads` times. Every observed non-default word
-/// must be one the writer actually published, observations must move
-/// forward through the publish order, and — if the reader saw the writer
-/// finish — the last observation must be the final published word. With
-/// `mutant`, the local double is torn into two stores and the explorer
-/// must find a schedule observing the partial word.
+/// The lock-free directory read fast path: a single writer on node 0
+/// publishes `words` distinct directory words into the one host array while
+/// a reader on node 1 polls it up to `max_reads` times. Every observed
+/// non-default word must be one the writer actually published,
+/// observations must move forward through the publish order, and — if the
+/// reader saw the writer finish — the last observation must be the final
+/// published word. With `mutant`, the write is torn into two stores and the
+/// explorer must find a schedule observing the partial word.
 pub fn directory_single_writer_reads(words: u16, max_reads: usize, mutant: bool) {
     let pnodes = 2usize;
     let mc = build_transport(TransportConfig::new(
@@ -354,7 +356,7 @@ pub fn directory_single_writer_reads(words: u16, max_reads: usize, mutant: bool)
         thread::spawn(move || {
             for (t, w) in published.iter().enumerate() {
                 if mutant {
-                    d.write_my_word_mutant_torn_local_double(1, 0, *w, t as Nanos);
+                    d.write_my_word_mutant_torn_store(1, 0, *w, t as Nanos);
                 } else {
                     d.write_my_word(1, 0, *w, t as Nanos);
                 }
@@ -368,19 +370,17 @@ pub fn directory_single_writer_reads(words: u16, max_reads: usize, mutant: bool)
         let published = published.clone();
         let done = Arc::clone(&done);
         thread::spawn(move || {
-            let mut seen: Vec<Vec<DirWord>> = vec![Vec::new(); pnodes];
+            let mut seen: Vec<DirWord> = Vec::new();
             let mut finished = false;
             for _ in 0..max_reads {
                 finished = done.load(Ordering::Acquire);
-                for (replica, log) in seen.iter_mut().enumerate() {
-                    let w = d.read_word(1, 0, replica);
-                    if w != DirWord::default() {
-                        assert!(
-                            published.contains(&w),
-                            "replica {replica} observed a word the writer never published: {w:?}"
-                        );
-                        log.push(w);
-                    }
+                let w = d.read_word(1, 0, 1);
+                if w != DirWord::default() {
+                    assert!(
+                        published.contains(&w),
+                        "reader observed a word the writer never published: {w:?}"
+                    );
+                    seen.push(w);
                 }
                 if finished {
                     break;
@@ -392,25 +392,23 @@ pub fn directory_single_writer_reads(words: u16, max_reads: usize, mutant: bool)
     };
     writer.join();
     let (seen, finished) = reader.join();
-    for (replica, s) in seen.iter().enumerate() {
-        if finished {
-            assert_eq!(
-                s.last(),
-                Some(published.last().unwrap()),
-                "replica {replica}: reader must observe the final published word"
-            );
-        }
-        // The observation sequence must be a subsequence of the publish
-        // order — a cached or locked read path that replayed stale words
-        // out of order would violate this.
-        let mut cursor = 0;
-        for w in s {
-            let pos = published[cursor..]
-                .iter()
-                .position(|p| p == w)
-                .expect("observations must move forward through the publish order");
-            cursor += pos;
-        }
+    if finished {
+        assert_eq!(
+            seen.last(),
+            published.last(),
+            "reader must observe the final published word"
+        );
+    }
+    // The observation sequence must be a subsequence of the publish order —
+    // a cached or locked read path that replayed stale words out of order
+    // would violate this.
+    let mut cursor = 0;
+    for w in &seen {
+        let pos = published[cursor..]
+            .iter()
+            .position(|p| p == w)
+            .expect("observations must move forward through the publish order");
+        cursor += pos;
     }
 }
 

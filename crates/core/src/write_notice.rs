@@ -6,9 +6,12 @@
 //! * Each protocol node owns a globally accessible list with **one bin per
 //!   remote node** (a circular queue in Memory Channel space on the real
 //!   hardware). Because every bin has exactly one writer, no cluster-wide
-//!   lock is needed. Here each bin is a lock-free queue standing in for the
-//!   MC circular buffer; the Memory Channel latency/bandwidth of posting a
-//!   notice is charged by the engine.
+//!   lock is needed. That is the modeled structure: the Memory Channel
+//!   latency/bandwidth of posting a notice is charged by the engine. The
+//!   host keeps **one queue per destination** of `(sender, page)` pairs, so
+//!   its memory is O(pnodes), not the pnodes² bins the model has. A drain
+//!   orders what it takes by sender, FIFO within a sender — the order a
+//!   scan of the bins would give.
 //! * Each *processor* has a second-level list consisting of a **bitmap plus
 //!   a queue**. The bitmap suppresses redundant notices: inserting a page
 //!   already present is a no-op. Host-side, the bitmap is a shared atomic
@@ -16,15 +19,14 @@
 //!   concurrent posters never contend on one lock (DESIGN.md §10); drains
 //!   merge the stripes back into deterministic post order.
 //!
-//! On an acquire, a processor drains the node's global bins, distributing
+//! On an acquire, a processor drains the node's global list, distributing
 //! each notice to the per-processor lists of the local processors that have
 //! a mapping for the page, then processes its own per-processor list.
 //!
 //! Every list is **occupancy-indexed** (DESIGN.md §10): a drain with nothing
-//! pending is a single atomic load and takes no lock, and a drain with *k*
-//! holders pending visits those *k* only — the point of the paper's
-//! structure is that a processor does no work for notices that are not
-//! there.
+//! pending is a single atomic load and takes no lock — the point of the
+//! paper's structure is that a processor does no work for notices that are
+//! not there.
 //!
 //! The §3.3.5 ablation ([`DirectoryMode::GlobalLock`]) replaces the per-bin
 //! single-writer discipline with one global-locked list per node, modeled by
@@ -42,46 +44,23 @@ use cashmere_sim::{Nanos, Resource};
 use crate::config::DirectoryMode;
 use crate::trace::{emit, ProtocolEvent, TraceRecorder};
 
-/// The global (inter-node) write-notice bins of one protocol node.
-pub struct NodeBins {
-    /// One bin per sender node (the paper's "seven-bin" list on an 8-node
-    /// cluster; sized to the actual node count here). `bins[from]` is
-    /// written only by node `from`.
-    bins: Vec<SegQueue<u32>>,
-    /// Occupancy summary over `bins`, one bit per sender: a poster raises
-    /// its bit *after* its push, a drain swaps a word to zero *before*
-    /// popping the bins it named. A set bit may be stale (its bin already
-    /// emptied by a drain working off an earlier bit); a notice whose post
-    /// has returned always has its bit up, or a drain already bound to pop
-    /// its bin.
-    occupied: Vec<ModelAtomicU64>,
-    /// Occupancy bits raised and not yet settled by the drain that swapped
-    /// them: a poster counts itself in *before* raising a bit, a drain
-    /// counts the bits it swapped out *after* its pops — so this is never
-    /// zero while a notice whose post has returned sits in its bin.
+/// The global (inter-node) write-notice list of one protocol node.
+struct NodeList {
+    /// `(sender, page)` notices in arrival order.
+    queue: SegQueue<(usize, u32)>,
+    /// Notices counted in and not yet counted out: a poster counts itself
+    /// in *before* its push, a drain counts out what it popped *after* its
+    /// pops — so this is never zero while a notice whose post has returned
+    /// sits in the queue.
     pending: ModelAtomicU64,
     /// Serialization gate for the GlobalLock ablation (`None` when
     /// lock-free).
     gate: Option<Resource>,
 }
 
-impl NodeBins {
-    /// Empties the bins named by the bits of occupancy word `w`, in
-    /// ascending sender order, FIFO within a bin.
-    fn pop_bins(&self, w: usize, mut set: u64, out: &mut Vec<(usize, u32)>) {
-        while set != 0 {
-            let from = w * 64 + set.trailing_zeros() as usize;
-            set &= set - 1;
-            while let Some(page) = self.bins[from].pop() {
-                out.push((from, page));
-            }
-        }
-    }
-}
-
 /// All nodes' global write-notice lists.
 pub struct NoticeBoard {
-    nodes: Vec<NodeBins>,
+    nodes: Vec<NodeList>,
     /// Extra virtual time a post spends holding the global lock in the
     /// ablation mode.
     gate_hold: Nanos,
@@ -90,17 +69,14 @@ pub struct NoticeBoard {
 }
 
 impl NoticeBoard {
-    /// Creates bins for `pnodes` nodes.
+    /// Creates one list per node for `pnodes` nodes.
     pub fn new(pnodes: usize, mode: DirectoryMode, gate_hold: Nanos) -> Self {
         let nodes = (0..pnodes)
-            .map(|_| NodeBins {
-                bins: (0..pnodes).map(|_| SegQueue::new()).collect(),
-                occupied: (0..pnodes.div_ceil(64))
-                    .map(|_| ModelAtomicU64::new(0))
-                    .collect(),
+            .map(|_| NodeList {
+                queue: SegQueue::new(),
                 pending: ModelAtomicU64::new(0),
                 gate: match mode {
-                    // Sparse keeps the paper's lock-free notice bins; only
+                    // Sparse keeps the paper's lock-free notice lists; only
                     // the directory's layout changes (DESIGN.md §12).
                     DirectoryMode::LockFree | DirectoryMode::Sparse => None,
                     DirectoryMode::GlobalLock => Some(Resource::new()),
@@ -133,74 +109,60 @@ impl NoticeBoard {
         // Producer: emit before the push so any drain that pops this notice
         // is sequenced after the post.
         emit(&self.rec, || ProtocolEvent::WnPost { to, from, page });
-        node.bins[from].push(page);
-        // Set-after-push. A bit already up needs nothing more: the swap
-        // that takes it down comes after this load, hence after the push,
-        // and that drain pops the bin. Otherwise count in, then raise the
-        // bit — and count back out if a sibling processor of this node
-        // raised it first (its own count stands for both). The AcqRel RMWs
-        // pair with the drain's Acquire load and AcqRel swap.
-        let (word, bit) = (&node.occupied[from / 64], 1 << (from % 64));
-        if word.load(Ordering::Acquire) & bit == 0 {
-            node.pending.fetch_add(1, Ordering::AcqRel);
-            if word.fetch_or(bit, Ordering::AcqRel) & bit != 0 {
-                node.pending.fetch_sub(1, Ordering::AcqRel);
-            }
-        }
+        // Count in, then push: the count never falls below the notices a
+        // returned post has left in the queue. The AcqRel RMW pairs with
+        // the drain's Acquire load and its count-out.
+        node.pending.fetch_add(1, Ordering::AcqRel);
+        node.queue.push((from, page));
         done
     }
 
-    /// Drains the occupied bins of node `to`, returning `(from, page)`
-    /// pairs in ascending sender order, FIFO within a sender. With nothing
-    /// pending this is one load.
+    /// Drains node `to`'s list, returning `(from, page)` pairs in ascending
+    /// sender order, FIFO within a sender. With nothing pending this is one
+    /// load.
     ///
     /// A notice whose [`post`](Self::post) has returned is delivered by the
-    /// next drain that starts afterwards, or by one already under way: the
-    /// drain zeroes an occupancy word *before* popping the bins it named,
-    /// so a bit set behind its back survives for the next drain, and the
-    /// poster sets the bit only *after* its push, so a bit never names a
-    /// notice that is not yet there. Concurrent drains are safe (each notice
-    /// goes to exactly one of them); the engine serializes them per node.
+    /// next drain that starts afterwards, or by one already under way: its
+    /// post counted in before pushing, so the drain does not take the empty
+    /// path, and the drain pops until the queue is empty. The drain counts
+    /// out only what it popped, and only after popping it. Concurrent drains
+    /// are safe (each notice goes to exactly one of them); the engine
+    /// serializes them per node.
     pub fn drain(&self, to: usize) -> Vec<(usize, u32)> {
         let node = &self.nodes[to];
         if node.pending.load(Ordering::Acquire) == 0 {
             return Vec::new();
         }
         let mut out = Vec::new();
-        let mut swapped = 0;
-        for (w, word) in node.occupied.iter().enumerate() {
-            if word.load(Ordering::Acquire) == 0 {
-                continue;
-            }
-            let set = word.swap(0, Ordering::AcqRel);
-            swapped += u64::from(set.count_ones());
-            node.pop_bins(w, set, &mut out);
+        while let Some(notice) = node.queue.pop() {
+            out.push(notice);
         }
-        node.pending.fetch_sub(swapped, Ordering::AcqRel);
+        node.pending.fetch_sub(out.len() as u64, Ordering::AcqRel);
         self.delivered(to, out)
     }
 
     /// A deliberately wrong `drain` kept for the model checker's mutation
-    /// battery (DESIGN.md §11): it clears the occupancy bits *after* popping
-    /// the bins. A post that lands between the last pop and the clear has
-    /// its bit wiped with its notice still in the bin, and no later drain
-    /// looks there again.
+    /// battery (DESIGN.md §11): it counts out *before* popping, by swapping
+    /// the count to zero. A post that counted in before the swap and pushes
+    /// after the pops leaves its notice in the queue under a zero count:
+    /// `is_empty` holds over it and the next drain takes the empty path.
     #[doc(hidden)]
-    pub fn drain_mutant_clear_after_pop(&self, to: usize) -> Vec<(usize, u32)> {
+    pub fn drain_mutant_count_out_before_pop(&self, to: usize) -> Vec<(usize, u32)> {
         let node = &self.nodes[to];
+        if node.pending.swap(0, Ordering::AcqRel) == 0 {
+            return Vec::new();
+        }
         let mut out = Vec::new();
-        for (w, word) in node.occupied.iter().enumerate() {
-            let set = word.load(Ordering::Acquire);
-            node.pop_bins(w, set, &mut out);
-            let cleared = word.swap(0, Ordering::AcqRel);
-            node.pending
-                .fetch_sub(u64::from(cleared.count_ones()), Ordering::AcqRel);
+        while let Some(notice) = node.queue.pop() {
+            out.push(notice);
         }
         self.delivered(to, out)
     }
 
-    /// Emits a drain's consumer event (after the pops).
-    fn delivered(&self, to: usize, out: Vec<(usize, u32)>) -> Vec<(usize, u32)> {
+    /// Orders a drain's notices by sender, FIFO within a sender (the sort
+    /// is stable), and emits its consumer event (after the pops).
+    fn delivered(&self, to: usize, mut out: Vec<(usize, u32)>) -> Vec<(usize, u32)> {
+        out.sort_by_key(|&(from, _)| from);
         if !out.is_empty() {
             emit(&self.rec, || ProtocolEvent::WnDrain {
                 to,
@@ -211,9 +173,8 @@ impl NoticeBoard {
     }
 
     /// Whether node `to` currently has any pending notices. Never `true`
-    /// while a notice whose post has returned is still in its bin (the
-    /// count rises before the bit does and falls only after the pops),
-    /// whatever a concurrent drain has done to the occupancy bits.
+    /// while a notice whose post has returned is still in the queue (the
+    /// count rises before the push and falls only after the pop).
     ///
     /// Protocol-load-bearing: the exclusive-mode entry gate in
     /// `Engine::try_enter_exclusive` refuses entry while notices are
@@ -457,7 +418,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn post_and_drain_by_sender_bin() {
+    fn post_and_drain_by_sender() {
         let b = NoticeBoard::new(3, DirectoryMode::LockFree, 0);
         b.post(0, 1, 10, 0);
         b.post(0, 2, 20, 0);
@@ -470,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn bins_are_per_destination() {
+    fn lists_are_per_destination() {
         let b = NoticeBoard::new(2, DirectoryMode::LockFree, 0);
         b.post(1, 0, 5, 0);
         assert!(b.is_empty(0));
@@ -593,9 +554,9 @@ mod tests {
     }
 
     #[test]
-    fn bins_preserve_per_sender_fifo_order() {
-        // Each bin has a single writer; a drain must return that writer's
-        // notices in post order (the paper's circular-queue semantics).
+    fn drain_preserves_per_sender_fifo_order() {
+        // A drain must return each sender's notices in post order (the
+        // paper's single-writer circular-queue semantics).
         let b = NoticeBoard::new(2, DirectoryMode::LockFree, 0);
         for page in [9u32, 3, 7, 3] {
             b.post(0, 1, page, 0);
@@ -606,15 +567,14 @@ mod tests {
             .filter(|&(f, _)| f == 1)
             .map(|(_, p)| p)
             .collect();
-        assert_eq!(from_one, vec![9, 3, 7, 3], "per-bin FIFO violated");
+        assert_eq!(from_one, vec![9, 3, 7, 3], "per-sender FIFO violated");
     }
 
     #[test]
-    fn drain_order_is_ascending_sender_whatever_order_bits_were_set() {
-        // 130 senders span three occupancy words; posts arrive in an order
-        // unrelated to sender index, and one sender posts twice around the
-        // others. The drain must read like a scan of every bin in sender
-        // order (what the pre-summary drain did), FIFO within a sender.
+    fn drain_order_is_ascending_sender_whatever_order_posts_arrived() {
+        // Posts arrive in an order unrelated to sender index, and two
+        // senders post twice around the others. The drain must read like a
+        // scan of per-sender bins in sender order, FIFO within a sender.
         let b = NoticeBoard::new(130, DirectoryMode::LockFree, 0);
         for (from, page) in [(129, 1), (64, 2), (3, 3), (65, 4), (0, 5), (64, 6), (3, 7)] {
             b.post(7, from, page, 0);
@@ -631,17 +591,17 @@ mod tests {
 
     #[test]
     fn posts_racing_one_drainer_are_never_stranded() {
-        // OS-thread run of the shared summary scenario (a post landing
-        // between a drain's swap and its pops included); the model variant
-        // explores it and catches the clear-after-pop mutant.
-        crate::model_scenarios::notice_summary_exactly_once(4, 3, 500, 2000, false);
+        // OS-thread run of the shared queue scenario (a post landing
+        // between a drain's pops and its count-out included); the model
+        // variant explores it and catches the count-out-before-pop mutant.
+        crate::model_scenarios::notice_queue_exactly_once(4, 3, 500, 2000, false);
     }
 
     #[test]
     fn concurrent_posts_and_drains_lose_nothing() {
         use std::collections::HashMap;
-        // Single-writer bins + concurrent drains: every posted notice is
-        // delivered exactly once, across 3 sender threads and 2 drainers.
+        // Concurrent posts and drains: every posted notice is delivered
+        // exactly once, across 3 sender threads and 2 drainers.
         let b = Arc::new(NoticeBoard::new(4, DirectoryMode::LockFree, 0));
         let posters: Vec<_> = (1..4usize)
             .map(|from| {

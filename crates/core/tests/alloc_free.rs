@@ -6,6 +6,11 @@
 //! allocate at all. The count is per thread, so tests running side by side
 //! in this binary cannot charge each other.
 //!
+//! The same allocator counts live bytes, which bounds what the protocol's
+//! metadata costs the host: the directory and the notice board at 1024
+//! protocol nodes, and `Engine::new` per structure at three shapes (run
+//! with `--nocapture` to see the table).
+//!
 //! The workspace denies `unsafe code`; this test is the one sanctioned
 //! exception, because a `GlobalAlloc` impl cannot be written without it.
 #![allow(unsafe_code)]
@@ -13,9 +18,18 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use cashmere_core::{Cluster, Proc, ProtocolKind, RunSpec, Topology};
+use cashmere_core::directory::Directory;
+use cashmere_core::mc_lock::McLock;
+use cashmere_core::write_notice::{NleList, NoticeBoard, ProcNoticeList};
+use cashmere_core::{
+    build_transport, Cluster, DirectoryMode, Engine, Proc, ProtocolKind, RunSpec, Topology,
+    Transport,
+};
+use cashmere_memchan::TransportConfig;
 use cashmere_sim::ProcId;
+use cashmere_vmpage::PageTable;
 
 struct CountingAlloc;
 
@@ -23,10 +37,18 @@ thread_local! {
     // Const-initialized and without a destructor: touching it from inside
     // the allocator can neither allocate nor run after teardown.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    // Bytes allocated minus bytes freed by this thread. Signed: a thread
+    // may free what another allocated.
+    static BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_alloc() {
+fn count_alloc(grown: i64) {
     let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
+    count_bytes(grown);
+}
+
+fn count_bytes(delta: i64) {
+    let _ = BYTES.try_with(|b| b.set(b.get() + delta));
 }
 
 /// Allocations made by the calling thread so far.
@@ -34,18 +56,28 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// Runs `build` and returns its value with the heap bytes it left live on
+/// this thread (counted while the value is still alive).
+fn footprint<T>(build: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let value = build();
+    let grown = BYTES.with(Cell::get) - before;
+    (value, grown.max(0) as u64)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
+        count_alloc(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
+        count_alloc(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -134,8 +166,8 @@ fn det_scheduler_steady_state_is_allocation_free() {
 }
 
 /// Barriers and lock pairs on a cluster that shares no data: every release
-/// finds no dirty page and an empty NLE list, every acquire empty bins and
-/// an empty notice list, so once the carriers' interval lists are reserved
+/// finds no dirty page and an empty NLE list, every acquire an empty notice
+/// queue and an empty notice list, so once the carriers' interval lists are reserved
 /// a synchronization must not touch the heap at all.
 fn assert_idle_sync_allocation_free(topology: Topology, pairs: usize) {
     let cluster = Cluster::new(RunSpec::new(topology, ProtocolKind::TwoLevel).with_heap_pages(4));
@@ -175,4 +207,138 @@ fn idle_sync_is_allocation_free_on_2x2() {
 #[test]
 fn idle_sync_is_allocation_free_on_64x16() {
     assert_idle_sync_allocation_free(Topology::new(64, 16), 3);
+}
+
+// --- host footprint of the protocol metadata ------------------------------
+
+/// Protocol nodes the footprint bounds are asserted at: 64×16 under a
+/// one-level protocol.
+const PNODES: usize = 1024;
+
+/// A transport with `pnodes` endpoints spread evenly over `nodes` links.
+fn transport(pnodes: usize, nodes: usize) -> Arc<dyn Transport> {
+    let link_of = (0..pnodes).map(|e| e * nodes / pnodes).collect();
+    build_transport(TransportConfig::new(link_of, nodes))
+}
+
+/// Heap bytes `Directory::new` leaves live at `PNODES` protocol nodes.
+fn directory_bytes(pages: usize, mode: DirectoryMode) -> u64 {
+    let mc = transport(PNODES, 64);
+    footprint(|| Directory::new(mc, PNODES, pages, mode)).1
+}
+
+/// The replicated modes keep one host copy of the directory, one word per
+/// (page, node) plus the home word: O(pages × pnodes), not the
+/// O(pages × pnodes²) of a replica per node. Sparse grows per page by its
+/// per-node caches of `3 + pnodes / 32` words (plus the page's shard
+/// entry), and carries a fixed O(pnodes²) term: each of its `pnodes` shard
+/// regions has a receive-mapping slot per endpoint.
+#[test]
+fn directory_host_bytes_at_1024_nodes() {
+    let entry = 8 * (PNODES + 1) as u64;
+    for mode in [DirectoryMode::LockFree, DirectoryMode::GlobalLock] {
+        for pages in [8, 16] {
+            let per_page = directory_bytes(pages, mode) / pages as u64;
+            println!("directory {mode:?}: {per_page} bytes per page at {PNODES} nodes");
+            assert!(
+                (entry..entry + 256).contains(&per_page),
+                "{mode:?}: {per_page} bytes per page, want one {entry}-byte entry"
+            );
+        }
+    }
+    let [small, large] = [8, 16].map(|pages| directory_bytes(pages, DirectoryMode::Sparse));
+    let per_page = (large - small) / 8;
+    let fixed = small - 8 * per_page;
+    println!("directory Sparse: {per_page} bytes per page + {fixed} fixed at {PNODES} nodes");
+    let entry_words = 3 + PNODES as u64 / 32;
+    let cache = 8 * PNODES as u64 * entry_words;
+    assert!(
+        (cache..=cache + 8 * entry_words).contains(&per_page),
+        "Sparse: {per_page} bytes per page, want {cache} of caches plus a shard entry"
+    );
+    assert!(
+        fixed <= 32 * (PNODES * PNODES) as u64,
+        "Sparse: {fixed} fixed bytes, more than one 32-byte slot per (region, endpoint)"
+    );
+}
+
+/// The notice board keeps one queue and one count per destination: O(pnodes)
+/// bytes, not a bin per (destination, sender).
+#[test]
+fn notice_board_host_bytes_at_1024_nodes() {
+    let (_board, bytes) = footprint(|| NoticeBoard::new(PNODES, DirectoryMode::LockFree, 0));
+    println!("notice board: {bytes} bytes at {PNODES} nodes");
+    assert!(
+        bytes <= 256 * PNODES as u64,
+        "{bytes} bytes is more than 256 per destination"
+    );
+}
+
+/// Prints `Engine::new`'s live heap bytes, split by structure, at the
+/// paper's 8×4 under 2L, 64×16 under 2L, and 64×16 under 1LD with the
+/// default (sparse) and the replicated directory. Each structure is built
+/// alone with the engine's parameters; "node pages + rest" is what remains
+/// of the engine's total (per-node page state, master slots, the run's
+/// transport).
+#[test]
+fn engine_new_bytes_per_structure() {
+    let pages = 16;
+    let cells = [
+        ("8x4", ProtocolKind::TwoLevel, None),
+        ("64x16", ProtocolKind::TwoLevel, None),
+        ("64x16", ProtocolKind::OneLevelDiff, None),
+        (
+            "64x16",
+            ProtocolKind::OneLevelDiff,
+            Some(DirectoryMode::LockFree),
+        ),
+    ];
+    println!(
+        "{:6} {:4} {:10} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
+        "shape",
+        "prot",
+        "directory",
+        "total",
+        "directory",
+        "notices",
+        "home lock",
+        "page tables",
+        "proc lists",
+        "pages+rest"
+    );
+    for (shape, protocol, dir) in cells {
+        let topo: Topology = shape.parse().expect("shape");
+        let mut spec = RunSpec::new(topo, protocol).with_heap_pages(pages);
+        if let Some(m) = dir {
+            spec = spec.with_directory(m);
+        }
+        let pnodes = protocol.node_map().protocol_nodes(&topo);
+        let procs = topo.total_procs();
+        let (_engine, total) = footprint(|| Engine::new(spec.clone()));
+        let mc = transport(pnodes, topo.nodes());
+        let (_d, directory) =
+            footprint(|| Directory::new(Arc::clone(&mc), pnodes, pages, spec.directory));
+        let (_n, notices) = footprint(|| NoticeBoard::new(pnodes, spec.directory, 0));
+        let (_l, home_lock) = footprint(|| McLock::new(Arc::clone(&mc), pnodes));
+        let (_p, page_table) = footprint(|| Arc::new(PageTable::new(pages)));
+        let (_q, lists) = footprint(|| {
+            (
+                ProcNoticeList::new(pages, procs / pnodes),
+                NleList::new(procs),
+            )
+        });
+        let (page_tables, lists) = (procs as u64 * page_table, procs as u64 * lists);
+        let parts = directory + notices + home_lock + page_tables + lists;
+        assert!(
+            parts <= total,
+            "{shape} {protocol:?}: parts {parts} > total {total}"
+        );
+        println!(
+            "{shape:6} {:4} {:10} {total:>12} {directory:>12} {notices:>12} {home_lock:>12} \
+             {page_tables:>12} {lists:>12} {:>12}",
+            protocol.label(),
+            format!("{:?}", spec.directory),
+            total - parts,
+        );
+    }
 }

@@ -1,8 +1,8 @@
 //! Model tests for the lock-free directory read fast path (DESIGN.md §11):
-//! a reader's single atomic load races `write_my_word`'s broadcast + manual
-//! local double, sharing its scenario body with the OS-thread yield test in
-//! `src/directory.rs`. The mutation battery tears the local double into two
-//! stores and asserts the explorer observes the phantom word within the
+//! a reader's single atomic load races `write_my_word`'s single store into
+//! the one host array, sharing its scenario body with the OS-thread yield
+//! test in `src/directory.rs`. The mutation battery tears the store into
+//! two and asserts the explorer observes the phantom word within the
 //! default budget and replays the schedule deterministically.
 
 use cashmere_core::model_scenarios as sc;
@@ -60,9 +60,9 @@ fn model_sparse_mutant_version_before_data_is_caught() {
 }
 
 #[test]
-fn model_directory_mutant_torn_local_double_is_caught() {
+fn model_directory_mutant_torn_store_is_caught() {
     let cfg = ModelConfig::default();
-    let v = expect_violation("directory-mutant-torn-double", &cfg, || {
+    let v = expect_violation("directory-mutant-torn-store", &cfg, || {
         sc::directory_single_writer_reads(2, 4, true);
     });
     assert!(

@@ -1,8 +1,9 @@
-//! Model tests for the striped write-notice lists (DESIGN.md §11): the
-//! exactly-once insert + ticket-ordered drain invariants run under the
-//! bounded interleaving explorer, sharing their scenario bodies with the
-//! OS-thread stress tests in `src/write_notice.rs`. The mutation battery
-//! reintroduces the claim-outside-stripe-lock ordering and asserts the
+//! Model tests for the write-notice lists (DESIGN.md §11): the striped
+//! per-processor list's exactly-once insert + ticket-ordered drain, the
+//! notice board's per-destination queue and count, and the NLE list's
+//! pending flag run under the bounded interleaving explorer, sharing their
+//! scenario bodies with the OS-thread stress tests in `src/write_notice.rs`.
+//! Each mutation battery reintroduces a wrong ordering and asserts the
 //! explorer finds a violating schedule within the default budget and
 //! replays it deterministically from the printed seed.
 
@@ -52,13 +53,12 @@ fn model_notice_mutant_claim_outside_stripe_lock_is_caught() {
     assert_eq!(again.steps, v.steps);
 }
 
-/// The budget the summary scenarios run under: the default one with the
-/// partial-order skip off. The skip looks only at each thread's *next*
+/// The budget the queue and flag scenarios run under: the default one with
+/// the partial-order skip off. The skip looks only at each thread's *next*
 /// operation, and the windows these scenarios are about lie between two
-/// operations of one thread on different locations (a drain's swap of the
-/// occupancy word and its pops of a bin; a push and its flag store), with
-/// the other thread's next operation on a third — a pair the skip calls
-/// commuting and never splits.
+/// operations of one thread on different locations (a post's count-in and
+/// its push; a push and its flag store), with the other thread's next
+/// operation on a third — a pair the skip calls commuting and never splits.
 fn every_window() -> ModelConfig {
     ModelConfig {
         por: false,
@@ -93,39 +93,39 @@ fn mutant_is_caught_and_replays(name: &str, expect: &[&str], scenario: impl Fn()
 }
 
 #[test]
-fn model_notice_summary_delivers_exactly_once_and_strands_nothing() {
-    explores_clean("notice-summary-exactly-once", || {
-        sc::notice_summary_exactly_once(2, 2, 2, 2, false);
+fn model_notice_queue_delivers_exactly_once_and_strands_nothing() {
+    explores_clean("notice-queue-exactly-once", || {
+        sc::notice_queue_exactly_once(2, 2, 2, 2, false);
     });
 }
 
 #[test]
-fn model_notice_post_between_swap_and_pop_is_delivered_once() {
+fn model_notice_post_mid_drain_is_delivered_once() {
     // One sender, one drain under way, one drain after: the second post can
-    // land anywhere inside the first drain, including between its swap of
-    // the occupancy word and its pops. It must come out exactly once — of
-    // that drain or of the next.
-    explores_clean("notice-summary-post-mid-drain", || {
-        sc::notice_summary_exactly_once(1, 1, 2, 1, false);
+    // land anywhere inside the first drain, including between its pops and
+    // its count-out. It must come out exactly once — of that drain or of
+    // the next.
+    explores_clean("notice-queue-post-mid-drain", || {
+        sc::notice_queue_exactly_once(1, 1, 2, 1, false);
     });
 }
 
 #[test]
-fn model_notice_siblings_sharing_a_bin_keep_the_count_sound() {
-    // Two processors of one sender node race for the same occupancy bit:
-    // the loser counts itself back out, and `is_empty` must stay false
-    // until the winner's bit has been swapped and the bin popped.
-    explores_clean("notice-summary-sibling-posters", || {
-        sc::notice_summary_exactly_once(2, 1, 1, 2, false);
+fn model_notice_siblings_posting_as_one_sender_keep_the_count_sound() {
+    // Two processors of one sender node post into the one queue: each
+    // counts itself in, and `is_empty` must stay false until both notices
+    // have been popped.
+    explores_clean("notice-queue-sibling-posters", || {
+        sc::notice_queue_exactly_once(2, 1, 1, 2, false);
     });
 }
 
 #[test]
-fn model_notice_mutant_clear_after_pop_is_caught() {
+fn model_notice_mutant_count_out_before_pop_is_caught() {
     mutant_is_caught_and_replays(
-        "notice-mutant-clear-after-pop",
+        "notice-mutant-count-out-before-pop",
         &["stranded", "exactly once", "is_empty held"],
-        || sc::notice_summary_exactly_once(1, 1, 2, 1, true),
+        || sc::notice_queue_exactly_once(1, 1, 2, 1, true),
     );
 }
 

@@ -26,7 +26,8 @@
 #   knob census — RunSpec is the only run configuration. (i) The names of
 #       the second configuration type, its assembly pass and the
 #       per-backend transport newtypes may not reappear in code, so no
-#       compat alias can grow back. (ii) Every `pub` field of RunSpec must
+#       compat alias can grow back; nor may the host's per-sender notice
+#       bins or per-node directory replicas. (ii) Every `pub` field of RunSpec must
 #       be set — assigned (`.f =`) or passed to the builder that assigns
 #       it — by at least one non-test, non-comment line outside
 #       crates/core/src/run.rs; a field nobody sets is a dead knob and the
@@ -157,9 +158,12 @@ gone='ClusterConfig|to_config_with|with_det_quantum|DET_QUANTUM_DEFAULT|RdmaTran
 # The second run loop and the carriers' blocking twins (PR 18), and the two
 # fault-rule knobs nobody turned.
 gone="$gone"'|\b(run_seq|run_det|try_acquire_for|try_wait|BarrierArrival|FaultScope)\b|\.(windowed|scoped)\('
+# The host's per-sender notice bins and per-node directory replicas: one
+# notice queue per destination, one directory array for every node.
+gone="$gone"'|\b(pop_bins|drain_mutant_clear_after_pop)\b|\.replicas\b|\breplicas: Vec<'
 revived="$(grep -rnE --include='*.rs' "$gone" crates src tests examples || true)"
 if [[ -n "$revived" ]]; then
-    echo "FAIL lint(knob-census): a deleted name is back (RunSpec is the only run configuration, MemoryChannel the only fabric, Cluster::run the only run loop, one acquiring method per carrier, fault rules apply everywhere)" >&2
+    echo "FAIL lint(knob-census): a deleted name is back (RunSpec is the only run configuration, MemoryChannel the only fabric, Cluster::run the only run loop, one acquiring method per carrier, fault rules apply everywhere, protocol metadata is O(nodes) on the host)" >&2
     echo "$revived" >&2
     fail=1
 fi
