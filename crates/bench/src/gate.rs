@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use cashmere_apps::{run_app, suite, AppOutcome, Benchmark, Scale};
 use cashmere_check::{audit, AuditReport};
-use cashmere_core::{Backend, Cluster, FaultPlan, ProtocolKind, RunSpec, TraceEvent};
+use cashmere_core::{Backend, Cluster, FaultPlan, ProtocolKind, RunSpec, Trace};
 
 use crate::golden::{build_goldens, check_table2};
 use crate::{json_arr, paper_spec, Obj};
@@ -100,7 +100,7 @@ pub struct Done<'a> {
     /// Checksum and report (`Report::obs` when `spec.obs`).
     pub outcome: AppOutcome,
     /// Protocol event trace (empty unless `spec.audit`).
-    pub trace: Vec<TraceEvent>,
+    pub trace: Trace,
     /// The trace's audit, taken on the pool worker that ran the cell: an
     /// auditing delivery thread would compete with the cells for the host's
     /// CPUs, and the free-running cells' traffic counts feel that.
@@ -593,7 +593,7 @@ mod tests {
     use super::*;
     use crate::gates::{GATES, LOSSY_LINK};
     use cashmere_apps::Sor;
-    use cashmere_core::ProtocolEvent;
+    use cashmere_core::{ProtocolEvent, TraceEvent};
 
     fn parse(line: &str) -> Result<Args, String> {
         Args::parse(line.split_whitespace().map(String::from), &GATES)
@@ -739,10 +739,10 @@ mod tests {
         // Duplicate a logical-clock draw, as a broken relaxed-atomics clock
         // would log it.
         let tick = |te: &TraceEvent| matches!(te.ev, ProtocolEvent::ClockTick { .. });
-        let i = done.trace.iter().position(tick).expect("every run ticks");
-        let dup = done.trace[i].clone();
-        done.trace.insert(i + 1, dup);
-        done.audit = audit(&done.trace);
+        let mut tampered = done.trace.to_vec();
+        let i = tampered.iter().position(tick).expect("every run ticks");
+        tampered.insert(i + 1, tampered[i].clone());
+        done.audit = audit(&tampered);
         assert_eq!(ctx.check(&done, want), (true, false));
         assert_eq!((ctx.failures, ctx.exit_code()), (2, 1));
     }

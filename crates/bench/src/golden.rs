@@ -27,7 +27,7 @@ use cashmere_apps::{run_app, Benchmark};
 use cashmere_core::engine::ProcCtx;
 use cashmere_core::report::Counters;
 use cashmere_core::{
-    Backend, Engine, FaultPlan, ProcId, ProtocolKind, RunSpec, SyncSpec, Topology, TraceEvent,
+    Backend, Engine, FaultPlan, ProcId, ProtocolKind, RunSpec, SyncSpec, Topology, Trace,
     PAGE_WORDS,
 };
 
@@ -42,7 +42,7 @@ pub struct GoldenRun {
     pub seq_secs: Vec<(&'static str, f64)>,
     /// `(probe label, protocol event stream)` per golden line; streams are
     /// empty when `audit` was off.
-    pub traces: Vec<(String, Vec<TraceEvent>)>,
+    pub traces: Vec<(String, Trace)>,
 }
 
 /// Builds the deterministic golden file contents — one line per
@@ -143,7 +143,7 @@ pub fn replay_on(
     plan: Option<Arc<FaultPlan>>,
     audit: bool,
     obs: bool,
-) -> (Vec<u64>, Counters, Vec<TraceEvent>) {
+) -> (Vec<u64>, Counters, Trace) {
     let mut cfg = RunSpec::new(Topology::new(2, 2), protocol)
         .with_heap_pages(16)
         .with_sync(SyncSpec {

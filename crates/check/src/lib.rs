@@ -314,7 +314,7 @@ struct Dims {
 }
 
 impl Dims {
-    fn of(events: &[TraceEvent]) -> Self {
+    fn of<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> Self {
         let mut d = Dims::default();
         let grow = |n: &mut usize, i: usize| *n = (*n).max(i + 1);
         for e in events {
@@ -350,11 +350,12 @@ impl Dims {
     }
 }
 
-/// Replays `events` (as produced by `Cluster::take_trace` /
-/// `TraceRecorder::take`) and reports every invariant violation and
-/// happens-before race found. The stream is in seq order by construction:
-/// `take` hands over the recorder's buffer as it was recorded.
-pub fn audit(events: &[TraceEvent]) -> AuditReport {
+/// Replays `events` (a `&Trace` from `Cluster::take_trace` /
+/// `TraceRecorder::take`, or a `Vec` or slice by reference) and reports
+/// every invariant violation and happens-before race found. It walks the
+/// events twice, in place, chunk by chunk: once to size its tables, once to
+/// replay. The stream is in seq order by construction.
+pub fn audit<'a, I: IntoIterator<Item = &'a TraceEvent> + Copy>(events: I) -> AuditReport {
     let d = Dims::of(events);
     let nprocs = d.node_of.len();
     // The processors of each node, for attributing a node's flush to its
@@ -430,7 +431,9 @@ pub fn audit(events: &[TraceEvent]) -> AuditReport {
         };
     }
 
+    let mut replayed = 0;
     for te in events {
+        replayed += 1;
         let seq = te.seq;
         match &te.ev {
             // --- Synchronization: happens-before edges -----------------
@@ -895,7 +898,7 @@ pub fn audit(events: &[TraceEvent]) -> AuditReport {
     AuditReport {
         violations,
         races,
-        events: events.len(),
+        events: replayed,
     }
 }
 

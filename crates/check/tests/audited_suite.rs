@@ -5,7 +5,9 @@
 
 use cashmere_apps::{run_app, suite, Scale};
 use cashmere_check::audit;
-use cashmere_core::{Cluster, Engine, ProtocolKind, RunSpec, SyncSpec, Topology};
+use cashmere_core::{
+    Cluster, Engine, ProtocolEvent, ProtocolKind, RunSpec, SyncSpec, Topology, TraceRecorder,
+};
 use cashmere_sim::ProcId;
 
 /// The whole suite, all protocols, auditor on: the engine must uphold
@@ -30,6 +32,58 @@ fn application_suite_audits_clean_under_all_protocols() {
             );
         }
     }
+}
+
+/// The auditor walks a `Trace` chunk by chunk in place. On a real run that
+/// spans several chunks, and on a tampered copy of it, the report must be
+/// the one it gives on the same events in one buffer, byte for byte.
+#[test]
+fn chunked_and_flat_traces_audit_identically() {
+    let app = suite(Scale::Test)
+        .into_iter()
+        .find(|a| a.name() == "SOR")
+        .expect("SOR is in the suite");
+    let spec = RunSpec::new(Topology::new(8, 4), ProtocolKind::TwoLevel).with_audit(true);
+    let (_, cluster) = run_app(app.as_ref(), &spec);
+    let trace = cluster.take_trace();
+    let flat = trace.to_vec();
+    assert!(
+        flat.len() > 3 * 1024,
+        "{} events: not several chunks",
+        flat.len()
+    );
+    let clean = audit(&trace).summary();
+    assert_eq!(clean, audit(&flat).summary());
+    assert_eq!(clean, audit(flat.as_slice()).summary());
+
+    // A later draw of the first tick's node repeats the first tick's
+    // timestamp, as a broken relaxed-atomics clock would log it. Recording
+    // the tampered events afresh numbers them as before, so the tampered
+    // trace is chunked too.
+    let mut tampered = flat;
+    let first = tampered
+        .iter()
+        .position(|te| matches!(te.ev, ProtocolEvent::ClockTick { .. }))
+        .expect("every run draws the clock");
+    let ProtocolEvent::ClockTick { pnode, .. } = tampered[first].ev else {
+        unreachable!()
+    };
+    let later = tampered
+        .iter()
+        .rposition(|te| matches!(te.ev, ProtocolEvent::ClockTick { pnode: p, .. } if p == pnode))
+        .expect("the node draws again");
+    assert!(later > 1024, "the tampered event sits past the first chunk");
+    tampered[later].ev = tampered[first].ev.clone();
+    let rec = TraceRecorder::new();
+    for te in &tampered {
+        rec.emit(te.ev.clone());
+    }
+    let retraced = rec.take();
+    assert_eq!(retraced.to_vec(), tampered);
+    let dirty = audit(&retraced).summary();
+    assert!(dirty.contains("TimestampCollision"), "{dirty}");
+    assert_eq!(dirty, audit(&tampered).summary());
+    assert_ne!(dirty, clean);
 }
 
 /// Lock-protected increments are data-race-free: the replay must find

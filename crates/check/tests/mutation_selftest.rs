@@ -49,7 +49,10 @@ fn base_trace() -> Vec<TraceEvent> {
     e.release_actions(&mut h);
     e.release_actions(&mut p0);
 
-    e.recorder().expect("audited engine has a recorder").take()
+    e.recorder()
+        .expect("audited engine has a recorder")
+        .take()
+        .to_vec()
 }
 
 /// Audits `t` and checks the report's exact summary against `want`, pinned

@@ -71,7 +71,11 @@ fn faulty_trace() -> (Vec<TraceEvent>, u64) {
         e.absorb(ctx);
     }
     let recovered = e.recovery_summary().total();
-    let trace = e.recorder().expect("audited engine has a recorder").take();
+    let trace = e
+        .recorder()
+        .expect("audited engine has a recorder")
+        .take()
+        .to_vec();
     (trace, recovered.total())
 }
 

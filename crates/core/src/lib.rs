@@ -50,7 +50,7 @@ pub use proc::{Cluster, Proc};
 pub use recovery::{RecoveryCounts, RecoverySummary};
 pub use report::Report;
 pub use run::RunSpec;
-pub use trace::{ProtocolEvent, ReleaseAction, TraceEvent, TraceRecorder};
+pub use trace::{ProtocolEvent, ReleaseAction, Trace, TraceEvent, TraceRecorder};
 
 pub use cashmere_faults::{FaultKind, FaultPlan, FaultRule};
 pub use cashmere_obs::ObsReport;

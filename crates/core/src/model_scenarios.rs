@@ -640,12 +640,12 @@ pub fn carrier_wait(mutant: bool) {
 }
 
 /// The trace recorder's sequencing (`core::trace`): `threads` emitters each
-/// record `per` events, interleaved by the recorder's lock. Taken whole, the
-/// buffer must be numbered `0..n` in order — no gap, no repeat, no sort —
-/// with each emitter's events in program order. With `mutant`, the number
-/// is drawn in one critical section and the event pushed in a second, and
-/// the explorer must find the schedule where another emitter's push lands
-/// in between: the buffer leaves seq order.
+/// record `per` events, interleaved by the recorder's lock. The taken
+/// [`Trace`](crate::Trace) must iterate numbered `0..n` in order — no gap,
+/// no repeat, no sort — with each emitter's events in program order. With
+/// `mutant`, the number is drawn in one critical section and the event
+/// pushed in a second, and the explorer must find the schedule where
+/// another emitter's push lands in between: the trace leaves seq order.
 pub fn trace_seq_order(threads: usize, per: usize, mutant: bool) {
     let r = Arc::new(TraceRecorder::new());
     let hs: Vec<_> = (0..threads)

@@ -34,7 +34,7 @@ use crate::engine::{Engine, ProcCtx};
 use crate::report::Report;
 use crate::run::RunSpec;
 use crate::sync::{CarrierBarrier, CarrierFlag, CarrierLock};
-use crate::trace::{ProtocolEvent, TraceEvent};
+use crate::trace::{ProtocolEvent, Trace};
 use crate::Addr;
 
 /// Synchronization-object pools shared by all processors.
@@ -141,7 +141,7 @@ impl Cluster {
     /// Takes the protocol event trace accumulated so far (empty unless the
     /// cluster was built with [`RunSpec::audit`] set). Feed it to
     /// `cashmere_check::audit` to verify the run's coherence invariants.
-    pub fn take_trace(&self) -> Vec<TraceEvent> {
+    pub fn take_trace(&self) -> Trace {
         self.engine.recorder().map(|r| r.take()).unwrap_or_default()
     }
 

@@ -9,12 +9,12 @@
 //!
 //! ## Sequencing discipline
 //!
-//! The recorder is one mutex over the event buffer and the number of the
+//! The recorder is one mutex over the event chunks and the number of the
 //! next event: [`TraceRecorder::emit`] draws the number and pushes the event
 //! in one critical section. The sequence is therefore the order in which
 //! emitters took the recorder's lock — a linearization of the emissions —
-//! and the buffer is in sequence order by construction, so
-//! [`TraceRecorder::take`] hands it over without sorting. The replay checker
+//! and the chunks are in sequence order by construction, so
+//! [`TraceRecorder::take`] hands them over without sorting. The replay checker
 //! may read that order as a linearization of the *run*, because every
 //! emission site follows one rule:
 //!
@@ -46,10 +46,15 @@
 //! default) the hot path pays one `Option` discriminant test per potential
 //! emission and allocates nothing. `emit` is kept out of line, so the push
 //! is not part of the instruction stream of any unaudited path. With
-//! auditing on, an emission is one lock round trip and a push, and `take`
-//! is a `mem::take` of the buffer.
+//! auditing on, an emission is one lock round trip and a push into a
+//! 1024-event (56 KiB) chunk allocated at full size: no buffer reallocates,
+//! and `take` hands the chunks over as a [`Trace`] the auditor walks in
+//! place. A run-long buffer instead doubles in whichever thread pushes, and
+//! each freed copy stays in that thread's arena. Chunks stay below glibc's
+//! 128 KiB mmap threshold: at 4096 events `audited` kept more (EXPERIMENTS.md).
 
 use std::sync::Arc;
+use std::{iter, slice};
 
 use parking_lot::Mutex;
 
@@ -291,6 +296,58 @@ pub struct TraceEvent {
     pub ev: ProtocolEvent,
 }
 
+/// Events per chunk: 56 KiB, below glibc's 128 KiB mmap threshold.
+const CHUNK: usize = 1024;
+
+/// A taken trace: chunks of at most `CHUNK` events, in sequence order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Trace {
+    chunks: Vec<Vec<TraceEvent>>,
+}
+
+impl Trace {
+    /// Number of events.
+    pub fn len(&self) -> usize {
+        self.chunks.iter().map(Vec::len).sum()
+    }
+
+    /// Whether no event was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.chunks.is_empty()
+    }
+
+    /// The events in sequence order.
+    pub fn iter(&self) -> iter::Flatten<slice::Iter<'_, Vec<TraceEvent>>> {
+        self.chunks.iter().flatten()
+    }
+
+    /// The events in one buffer, for tests that tamper with a trace.
+    pub fn to_vec(&self) -> Vec<TraceEvent> {
+        self.chunks.concat()
+    }
+
+    /// Appends `te`, starting a new chunk when the last is full.
+    fn push(&mut self, te: TraceEvent) {
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(te),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(te);
+                self.chunks.push(chunk);
+            }
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Trace {
+    type Item = &'a TraceEvent;
+    type IntoIter = iter::Flatten<slice::Iter<'a, Vec<TraceEvent>>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// Collects [`TraceEvent`]s from every subsystem of one engine.
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
@@ -302,7 +359,7 @@ pub struct TraceRecorder {
 #[derive(Debug, Default)]
 struct Buffer {
     next: u64,
-    events: Vec<TraceEvent>,
+    trace: Trace,
 }
 
 impl TraceRecorder {
@@ -318,18 +375,19 @@ impl TraceRecorder {
         let mut buf = self.buf.lock();
         let seq = buf.next;
         buf.next += 1;
-        buf.events.push(TraceEvent { seq, ev });
+        buf.trace.push(TraceEvent { seq, ev });
     }
 
     /// Takes the accumulated events, in sequence order. The recorder is
     /// left empty and keeps numbering where it left off.
-    pub fn take(&self) -> Vec<TraceEvent> {
-        let evs = std::mem::take(&mut self.buf.lock().events);
+    pub fn take(&self) -> Trace {
+        let trace = std::mem::take(&mut self.buf.lock().trace);
+        let first = trace.iter().next().map_or(0, |e| e.seq);
         debug_assert!(
-            evs.windows(2).all(|w| w[0].seq + 1 == w[1].seq),
+            (first..).zip(&trace).all(|(seq, e)| e.seq == seq),
             "trace buffer out of seq order"
         );
-        evs
+        trace
     }
 
     /// Mutant of [`emit`](Self::emit) for the model test: draws the
@@ -342,7 +400,7 @@ impl TraceRecorder {
             buf.next += 1;
             buf.next - 1
         };
-        self.buf.lock().events.push(TraceEvent { seq, ev });
+        self.buf.lock().trace.push(TraceEvent { seq, ev });
     }
 }
 
@@ -366,12 +424,46 @@ mod tests {
         let evs = r.take();
         let seqs: Vec<u64> = evs.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, [0, 1, 2]);
-        assert_eq!(evs[0].ev, ProtocolEvent::Fetch { pnode: 0, page: 1 });
+        assert_eq!(
+            evs.iter().next().map(|e| &e.ev),
+            Some(&ProtocolEvent::Fetch { pnode: 0, page: 1 })
+        );
         assert!(r.take().is_empty(), "take leaves the recorder empty");
         r.emit(ProtocolEvent::Fetch { pnode: 1, page: 4 });
         r.emit(ProtocolEvent::Fetch { pnode: 1, page: 5 });
         let seqs: Vec<u64> = r.take().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, [3, 4], "numbering continues across takes");
+    }
+
+    /// `3 × CHUNK + 5` events in two takes, the first one mid-chunk: the
+    /// numbers run on without a gap across every chunk rollover and across
+    /// the take, and each trace iterates in emission order.
+    #[test]
+    fn chunk_rollovers_keep_numbering_and_order() {
+        let r = TraceRecorder::new();
+        let n = 3 * CHUNK + 5;
+        let split = CHUNK + CHUNK / 2;
+        let mut traces = Vec::new();
+        for page in 0..n {
+            r.emit(ProtocolEvent::Fetch { pnode: 0, page });
+            if page + 1 == split || page + 1 == n {
+                traces.push(r.take());
+            }
+        }
+        assert_eq!(traces.len(), 2);
+        assert_eq!((traces[0].len(), traces[1].len()), (split, n - split));
+        assert_eq!(traces[0].chunks.len(), 2, "the first take spans a rollover");
+        let all: Vec<&TraceEvent> = traces.iter().flatten().collect();
+        assert_eq!(all.len(), n);
+        for (i, te) in all.into_iter().enumerate() {
+            assert_eq!(te.seq, i as u64, "gap-free numbering");
+            assert_eq!(te.ev, ProtocolEvent::Fetch { pnode: 0, page: i });
+        }
+        assert_eq!(
+            traces[1].to_vec(),
+            traces[1].iter().cloned().collect::<Vec<_>>()
+        );
+        assert!(r.take().is_empty());
     }
 
     #[test]

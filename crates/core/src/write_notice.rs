@@ -651,7 +651,7 @@ mod tests {
         let b = NoticeBoard::new(2, DirectoryMode::LockFree, 0).with_recorder(Arc::clone(&rec));
         b.post(0, 1, 42, 0);
         b.drain(0);
-        let evs = rec.take();
+        let evs = rec.take().to_vec();
         assert_eq!(evs.len(), 2);
         assert_eq!(
             evs[0].ev,
@@ -678,7 +678,7 @@ mod tests {
         assert!(l.insert(7, 0));
         assert!(!l.insert(7, 1));
         assert_eq!(l.drain(), vec![7]);
-        let evs: Vec<_> = rec.take().into_iter().map(|e| e.ev).collect();
+        let evs: Vec<_> = rec.take().iter().map(|e| e.ev.clone()).collect();
         assert_eq!(
             evs,
             vec![

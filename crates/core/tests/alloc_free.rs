@@ -9,7 +9,9 @@
 //! The same allocator counts live bytes, which bounds what the protocol's
 //! metadata costs the host: the directory and the notice board at 1024
 //! protocol nodes, and `Engine::new` per structure at three shapes (run
-//! with `--nocapture` to see the table).
+//! with `--nocapture` to see the table). It also records the largest
+//! single allocation, which bounds what recording the audit trace asks of
+//! the allocator at once.
 //!
 //! The workspace denies `unsafe code`; this test is the one sanctioned
 //! exception, because a `GlobalAlloc` impl cannot be written without it.
@@ -24,8 +26,8 @@ use cashmere_core::directory::Directory;
 use cashmere_core::mc_lock::McLock;
 use cashmere_core::write_notice::{NleList, NoticeBoard, ProcNoticeList};
 use cashmere_core::{
-    build_transport, Cluster, DirectoryMode, Engine, Proc, ProtocolKind, RunSpec, Topology,
-    Transport,
+    build_transport, Cluster, DirectoryMode, Engine, Proc, ProtocolEvent, ProtocolKind, RunSpec,
+    Topology, TraceEvent, TraceRecorder, Transport,
 };
 use cashmere_memchan::TransportConfig;
 use cashmere_sim::ProcId;
@@ -40,10 +42,14 @@ thread_local! {
     // Bytes allocated minus bytes freed by this thread. Signed: a thread
     // may free what another allocated.
     static BYTES: Cell<i64> = const { Cell::new(0) };
+    // The largest single allocation (or reallocation's new size) this
+    // thread has asked for.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count_alloc(grown: i64) {
+fn count_alloc(size: usize, grown: i64) {
     let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
     count_bytes(grown);
 }
 
@@ -54,6 +60,13 @@ fn count_bytes(delta: i64) {
 /// Allocations made by the calling thread so far.
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// The largest single allocation `run` made on this thread.
+fn largest_alloc<T>(run: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|l| l.set(0));
+    let value = run();
+    (value, LARGEST.with(Cell::get))
 }
 
 /// Runs `build` and returns its value with the heap bytes it left live on
@@ -67,7 +80,7 @@ fn footprint<T>(build: impl FnOnce() -> T) -> (T, u64) {
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc(layout.size() as i64);
+        count_alloc(layout.size(), layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
@@ -77,7 +90,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc(new_size as i64 - layout.size() as i64);
+        count_alloc(new_size, new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -341,4 +354,42 @@ fn engine_new_bytes_per_structure() {
             total - parts,
         );
     }
+}
+
+// --- host footprint of the audit trace -------------------------------------
+
+// The trace's footprint is events × this size: it may not grow unnoticed.
+const _: () = assert!(size_of::<TraceEvent>() <= 56);
+
+/// Bytes of one recorder chunk: 1024 events (the chunk length is private to
+/// `core::trace`).
+const CHUNK_BYTES: usize = 1024 * size_of::<TraceEvent>();
+
+/// The recorder fills fixed chunks and hands them over as they are: no
+/// allocation while recording or taking is larger than one chunk (a
+/// run-long buffer would double to the next power of two past the trace),
+/// and the taken trace holds its events plus less than one chunk of slack.
+#[test]
+fn trace_records_in_chunks_and_takes_them_whole() {
+    const EVENTS: usize = 200_000;
+    let rec = TraceRecorder::new();
+    let ((trace, live), largest) = largest_alloc(|| {
+        footprint(|| {
+            for page in 0..EVENTS {
+                rec.emit(ProtocolEvent::Fetch { pnode: 0, page });
+            }
+            rec.take()
+        })
+    });
+    assert_eq!(trace.len(), EVENTS);
+    let payload = (EVENTS * size_of::<TraceEvent>()) as u64;
+    println!("trace of {EVENTS} events: {live} live bytes for {payload} of events, largest allocation {largest}");
+    assert!(
+        largest <= CHUNK_BYTES,
+        "largest allocation {largest} bytes, more than one {CHUNK_BYTES}-byte chunk"
+    );
+    assert!(
+        (payload..payload + CHUNK_BYTES as u64).contains(&live),
+        "{live} live bytes, want {payload} of events plus less than one chunk"
+    );
 }

@@ -106,7 +106,7 @@ fn faulted_run_reports_recovery_per_requesting_node() {
     // The audit trace names the requester of every timeout; the per-node
     // rows must agree with it exactly.
     let mut timeouts = vec![(0u64, 0u64); nodes];
-    for te in cluster.take_trace() {
+    for te in &cluster.take_trace() {
         match te.ev {
             ProtocolEvent::FetchTimeout { pnode, .. } => timeouts[pnode].0 += 1,
             ProtocolEvent::BreakTimeout { by, .. } => timeouts[by].1 += 1,

@@ -45,7 +45,7 @@ fn main() {
 
     // Now corrupt the trace — duplicate a logical-clock draw, as a broken
     // relaxed-atomics clock would log — and watch the auditor catch it.
-    let mut tampered = trace.clone();
+    let mut tampered = trace.to_vec();
     let i = tampered
         .iter()
         .position(|te| matches!(te.ev, ProtocolEvent::ClockTick { .. }))

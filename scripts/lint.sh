@@ -27,7 +27,8 @@
 #       the second configuration type, its assembly pass and the
 #       per-backend transport newtypes may not reappear in code, so no
 #       compat alias can grow back; nor may the host's per-sender notice
-#       bins or per-node directory replicas. (ii) Every `pub` field of RunSpec must
+#       bins or per-node directory replicas, nor the audit trace's run-long
+#       buffer. (ii) Every `pub` field of RunSpec must
 #       be set — assigned (`.f =`) or passed to the builder that assigns
 #       it — by at least one non-test, non-comment line outside
 #       crates/core/src/run.rs; a field nobody sets is a dead knob and the
@@ -161,9 +162,12 @@ gone="$gone"'|\b(run_seq|run_det|try_acquire_for|try_wait|BarrierArrival|FaultSc
 # The host's per-sender notice bins and per-node directory replicas: one
 # notice queue per destination, one directory array for every node.
 gone="$gone"'|\b(pop_bins|drain_mutant_clear_after_pop)\b|\.replicas\b|\breplicas: Vec<'
+# The audit trace's run-long buffer and a take that flattens the trace: the
+# recorder fills fixed chunks and hands them over as a `Trace`.
+gone="$gone"'|\bevents: Vec<TraceEvent>|fn take(_trace)?\([^)]*\) -> Vec<TraceEvent>'
 revived="$(grep -rnE --include='*.rs' "$gone" crates src tests examples || true)"
 if [[ -n "$revived" ]]; then
-    echo "FAIL lint(knob-census): a deleted name is back (RunSpec is the only run configuration, MemoryChannel the only fabric, Cluster::run the only run loop, one acquiring method per carrier, fault rules apply everywhere, protocol metadata is O(nodes) on the host)" >&2
+    echo "FAIL lint(knob-census): a deleted name is back (RunSpec is the only run configuration, MemoryChannel the only fabric, Cluster::run the only run loop, one acquiring method per carrier, fault rules apply everywhere, protocol metadata is O(nodes) on the host, the audit trace is recorded in chunks)" >&2
     echo "$revived" >&2
     fail=1
 fi
