@@ -317,6 +317,7 @@ pub const GOLDEN: Phase = Phase {
 };
 
 /// A named list of phases.
+#[derive(Clone, Copy)]
 pub struct Gate {
     /// Name on the command line; the document is `BENCH_<name>.json`.
     pub name: &'static str,

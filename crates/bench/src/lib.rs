@@ -1,32 +1,21 @@
 //! Benchmark harness for regenerating every table and figure of the
 //! Cashmere-2L evaluation (§3 of the paper).
 //!
-//! Binaries (one per artifact):
+//! Every artifact — Tables 1–3, Figures 6–7, the §3.3.4/§3.3.5 ablations
+//! and the shape checks — is written by one gate, `paper`
+//! ([`gates::paper`]; `scripts/gate.sh paper`), from one sweep of the
+//! evaluation matrix, as a printed table plus `results/<table>.{txt,jsonl}`
+//! (README "Reproducing the evaluation" maps them). A run is described by
+//! a [`RunSpec`] and nothing else: [`paper_spec`] names a paper
+//! configuration, [`cashmere_apps::run_app`] runs an application under
+//! one.
 //!
-//! | binary      | paper artifact |
-//! |-------------|----------------|
-//! | `table1`    | Table 1 — basic operation costs |
-//! | `table2`    | Table 2 — data-set sizes and sequential times |
-//! | `table3`    | Table 3 — detailed 32-processor statistics |
-//! | `fig6`      | Figure 6 — normalized execution-time breakdown |
-//! | `fig7`      | Figure 7 — speedups across cluster configurations |
-//! | `shootdown` | §3.3.4 — shootdown vs two-way diffing, polling vs interrupts |
-//! | `lockfree`  | §3.3.5 — lock-free vs global-lock protocol structures |
-//!
-//! Each binary prints a human-readable table and appends a machine-readable
-//! JSON record to `results/` (used to assemble EXPERIMENTS.md). A run is
-//! described by a [`RunSpec`] and nothing else: [`paper_spec`] names a
-//! paper configuration, [`cashmere_apps::run_app`] runs an application
-//! under one.
-//!
-//! The gates — golden, soak, obsgate, service, scaling, detpar, xbackend
-//! — are phase lists ([`gates`]) over one harness ([`gate`]) behind one
-//! binary, `gate` (`scripts/gate.sh`; DESIGN.md §16).
+//! The gates — golden, soak, obsgate, service, scaling, detpar, xbackend,
+//! and paper — are phase lists ([`gates`]) over one harness ([`gate`])
+//! behind one binary, `gate` (`scripts/gate.sh`; DESIGN.md §16).
 
 use std::collections::BTreeMap;
 use std::fmt::{Display, Write as _};
-use std::io::Write as _;
-use std::path::Path;
 
 use cashmere_apps::{run_app, AppOutcome, Benchmark};
 use cashmere_core::{Nanos, ProtocolKind, RunSpec, Topology};
@@ -76,17 +65,6 @@ pub fn sequential(app: &dyn Benchmark) -> AppOutcome {
 #[must_use]
 pub fn sequential_spec() -> RunSpec {
     paper_spec(ProtocolKind::TwoLevel, 1, 1).uninstrumented(true)
-}
-
-/// Best-of-`n` run (the paper's "execution times were calculated based on
-/// the best of three runs") — returns the outcome with the smallest
-/// simulated execution time. Useful for the nondeterministic applications
-/// (TSP's pruning, Water/Barnes's dynamic scheduling).
-pub fn execute_best(app: &dyn Benchmark, spec: &RunSpec, n: usize) -> AppOutcome {
-    (0..n.max(1))
-        .map(|_| run_app(app, spec).0)
-        .min_by_key(|o| o.report.exec_ns)
-        .expect("n >= 1")
 }
 
 /// A machine-readable record of one experiment, written under `results/`.
@@ -268,18 +246,6 @@ pub fn jsonl_field(jsonl: &str, keys: &[(&str, &str)], field: &str) -> Option<f6
                 .all(|(k, want)| v.get(k).and_then(|f| f.as_str()) == Some(want))
         })
         .and_then(|v| v.get(field)?.as_f64())
-}
-
-/// Appends records as JSON lines to `results/<experiment>.jsonl`.
-pub fn save_records(experiment: &str, records: &[Record]) {
-    let dir = Path::new("results");
-    std::fs::create_dir_all(dir).expect("create results dir");
-    let path = dir.join(format!("{experiment}.jsonl"));
-    let mut f = std::fs::File::create(&path).expect("create results file");
-    for r in records {
-        writeln!(f, "{}", r.to_json()).expect("write record");
-    }
-    eprintln!("[saved {} records to {}]", records.len(), path.display());
 }
 
 /// Pretty-prints a value with K/M suffixes like the paper's Table 3.

@@ -2,7 +2,8 @@
 # Runs the gates: builds the release tree and hands every argument to the
 # `gate` binary (crates/bench/src/bin/gate.rs).
 #
-#   scripts/gate.sh                           # every gate, seed 24301
+#   scripts/gate.sh                           # the seven gates, seed 24301
+#   scripts/gate.sh paper                     # the paper's evaluation (named only)
 #   scripts/gate.sh obsgate --trace Water:2L
 #   scripts/gate.sh soak service --seed 12345 --backend rdma
 #   GOLDEN_CAPTURE=1 scripts/gate.sh golden   # (re)capture results/vt_golden.jsonl

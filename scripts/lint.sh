@@ -28,11 +28,14 @@
 #       per-backend transport newtypes may not reappear in code, so no
 #       compat alias can grow back; nor may the host's per-sender notice
 #       bins or per-node directory replicas, nor the audit trace's run-long
-#       buffer. (ii) Every `pub` field of RunSpec must
-#       be set — assigned (`.f =`) or passed to the builder that assigns
-#       it — by at least one non-test, non-comment line outside
-#       crates/core/src/run.rs; a field nobody sets is a dead knob and the
-#       lint names it.
+#       buffer, nor a best-of-n runner beside the paper gate's one rule.
+#       (ii) Every `pub` field of RunSpec must be set — assigned (`.f =`)
+#       or passed to the builder that assigns it — by at least one
+#       non-test, non-comment line outside crates/core/src/run.rs; a field
+#       nobody sets is a dead knob and the lint names it.
+#   bin census — crates/bench/src/bin/ holds gate.rs, hotpath.rs and
+#       probe_app.rs and nothing else: a paper artifact is a phase of the
+#       `paper` gate (crates/bench/src/gates/paper.rs), not a binary.
 #   engine-fork census — there is one way to wait and one run loop. Outside
 #       tests and comments, code that asks which engine runs
 #       (`det.is_some()`, `det_workers`, `= &self.det`, `= &self.ctx.det`) may sit only in the
@@ -165,9 +168,12 @@ gone="$gone"'|\b(pop_bins|drain_mutant_clear_after_pop)\b|\.replicas\b|\breplica
 # The audit trace's run-long buffer and a take that flattens the trace: the
 # recorder fills fixed chunks and hands them over as a `Trace`.
 gone="$gone"'|\bevents: Vec<TraceEvent>|fn take(_trace)?\([^)]*\) -> Vec<TraceEvent>'
+# A second best-of-n runner: a paper cell is repeated in the paper gate's
+# cell list and reduced by least exec_ns there.
+gone="$gone"'|\bexecute_best\b'
 revived="$(grep -rnE --include='*.rs' "$gone" crates src tests examples || true)"
 if [[ -n "$revived" ]]; then
-    echo "FAIL lint(knob-census): a deleted name is back (RunSpec is the only run configuration, MemoryChannel the only fabric, Cluster::run the only run loop, one acquiring method per carrier, fault rules apply everywhere, protocol metadata is O(nodes) on the host, the audit trace is recorded in chunks)" >&2
+    echo "FAIL lint(knob-census): a deleted name is back (RunSpec is the only run configuration, MemoryChannel the only fabric, Cluster::run the only run loop, one acquiring method per carrier, fault rules apply everywhere, protocol metadata is O(nodes) on the host, the audit trace is recorded in chunks, best-of-n is the paper gate's one rule)" >&2
     echo "$revived" >&2
     fail=1
 fi
@@ -205,6 +211,15 @@ for f in $fields; do
     fi
 done
 echo "lint(knob-census): one configuration type; $n_fields RunSpec fields checked for a non-test setter"
+
+# --- bin census: the gate runner and two probes ---------------------------
+
+bins="$(ls -A crates/bench/src/bin | sort | tr '\n' ' ')"
+if [[ "$bins" != "gate.rs hotpath.rs probe_app.rs " ]]; then
+    echo "FAIL lint(bin-census): crates/bench/src/bin/ holds ${bins% }; want exactly gate.rs hotpath.rs probe_app.rs (a paper artifact is a phase of the paper gate, crates/bench/src/gates/paper.rs)" >&2
+    fail=1
+fi
+echo "lint(bin-census): crates/bench/src/bin/ holds ${bins% }"
 
 # --- engine-fork census: one way to wait, one run loop ---------------------
 
