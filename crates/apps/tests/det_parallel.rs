@@ -54,3 +54,61 @@ fn sor_wakes_are_targeted_and_traffic_is_worker_independent() {
         );
     }
 }
+
+/// Where the det engine's virtual-time golden lives, from this crate.
+const DET_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../results/det_golden.jsonl"
+);
+
+/// One line per paper application × paper protocol at 8:4, `Scale::Test`,
+/// on the det engine at one worker: the virtual execution time and the
+/// checksum. Exact virtual time is the det engine's contract, so a change
+/// to how it schedules must reproduce every line.
+fn det_golden_lines() -> String {
+    let topo = Topology::from_paper_config(8, 4).expect("8:4 is a paper shape");
+    let mut out = String::new();
+    for app in cashmere_apps::suite(Scale::Test) {
+        for protocol in ProtocolKind::PAPER_FOUR {
+            let spec = RunSpec::new(topo, protocol).with_det_parallel(1);
+            let outcome = run_app(app.as_ref(), &spec).0;
+            out.push_str(&format!(
+                "{{\"experiment\":\"det_golden\",\"config\":\"8:4\",\"app\":\"{}\",\
+                 \"protocol\":\"{}\",\"exec_ns\":{},\"checksum\":{}}}\n",
+                app.name(),
+                protocol.label(),
+                outcome.report.exec_ns,
+                outcome.checksum
+            ));
+        }
+    }
+    out
+}
+
+/// The tree reproduces `results/det_golden.jsonl` line for line. Rewrite
+/// the file with `cargo test -p cashmere-apps --test det_parallel --
+/// --ignored capture_det_golden`, and only for a deliberate change of the
+/// schedule.
+#[test]
+fn det_engine_reproduces_the_committed_virtual_times() {
+    let committed = std::fs::read_to_string(DET_GOLDEN).expect("results/det_golden.jsonl");
+    let fresh = det_golden_lines();
+    let moved: Vec<String> = committed
+        .lines()
+        .zip(fresh.lines())
+        .filter(|(old, new)| old != new)
+        .map(|(old, new)| format!("  committed {old}\n  now       {new}"))
+        .collect();
+    assert!(
+        moved.is_empty() && committed.lines().count() == fresh.lines().count(),
+        "det virtual time moved on {} cells:\n{}",
+        moved.len(),
+        moved.join("\n")
+    );
+}
+
+#[test]
+#[ignore = "rewrites results/det_golden.jsonl"]
+fn capture_det_golden() {
+    std::fs::write(DET_GOLDEN, det_golden_lines()).expect("write results/det_golden.jsonl");
+}
