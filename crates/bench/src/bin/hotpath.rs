@@ -8,6 +8,9 @@
 //!   pending, at several cluster sizes: what an acquire or a release pays
 //!   when there is no coherence work, which must not grow with the cluster
 //!   (the benchmark's `write_notice.drain64_ns` times the full-list case);
+//! * **det checkpoint** — `DetHandle::checkpoint` inside an open window:
+//!   the position store plus the horizon load every operation entry pays
+//!   (the benchmark's `det.checkpoint_ns` row times the load alone);
 //! * **det gate hand-off** — a gate handed from one processor's host
 //!   thread to another's, the scheduler's floor per gate;
 //! * **workload sampling** — the service-trace generator's per-op path.
@@ -20,7 +23,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cashmere_core::det::DetScheduler;
+use cashmere_core::det::{DetScheduler, QUANTUM_NS};
 use cashmere_core::write_notice::{NleList, NoticeBoard, ProcNoticeList};
 use cashmere_core::DirectoryMode;
 use cashmere_workload::{KeyMap, Sampler};
@@ -98,6 +101,19 @@ fn main() {
             },
         );
     }
+
+    // One processor inside its first window, which the start barrier opens
+    // at [0, QUANTUM_NS): no checkpoint below parks.
+    let sched = Arc::new(DetScheduler::new(1, 1, QUANTUM_NS));
+    let h = sched.handle(0);
+    h.start();
+    let mut vt = 0;
+    let checkpoint = bench(1_000_000, || {
+        h.checkpoint(black_box(vt % QUANTUM_NS));
+        vt += 7;
+    });
+    h.finish();
+    report("det: checkpoint, open window", checkpoint);
 
     // Two processors on their own host threads take gates at the same
     // virtual times, so every grant and every window release crosses

@@ -8,7 +8,8 @@
 //!    worker counts {1, 2, 8}, each repeated until it has run for
 //!    [`MIN_TIMED_SECS`]: every run of every cell must produce a
 //!    byte-identical `Report` and an equal checksum, and the same scheduler
-//!    traffic (parks, gates, blocks, windows). The mean wall time per run
+//!    traffic (parks, gates, blocks, windows, widened windows, deferred
+//!    gates). The mean wall time per run
 //!    at each worker count and the workers=1 to wider-count ratios are
 //!    recorded with the traffic counts and the wake-ups issued — not gated:
 //!    host wall time is noisy, the byte-identity is the hard property.
@@ -68,7 +69,7 @@ pub fn identity_matrix(ctx: &mut Ctx, min_timed_secs: f64) {
         // What every run of this protocol must reproduce: the Report bytes,
         // the checksum, and the schedule's traffic (`wakes` is not part of
         // the schedule).
-        let traffic = |s: &DetStats| (s.parks, s.gates, s.blocks, s.windows);
+        let traffic = |s: &DetStats| (s.parks, s.gates, s.blocks, s.windows, s.widened, s.deferred);
         let mut base = None;
         let mut timed: Vec<Timed> = Vec::new();
         let (mut identical, mut repeat_identical) = (true, true);
@@ -112,7 +113,8 @@ pub fn identity_matrix(ctx: &mut Ctx, min_timed_secs: f64) {
                 wakes,
             });
         }
-        let (_, _, (parks, gates, blocks, windows)) = base.expect("worker counts nonempty");
+        let (_, _, (parks, gates, blocks, windows, widened, deferred)) =
+            base.expect("worker counts nonempty");
         let wall1 = timed[0].mean_ms;
         let ratio = |t: &Timed| {
             if t.mean_ms > 0.0 {
@@ -128,7 +130,8 @@ pub fn identity_matrix(ctx: &mut Ctx, min_timed_secs: f64) {
         let widest = timed.last().expect("worker counts nonempty");
         println!(
             "detpar {:4} identical={identical} repeat={repeat_identical} wall {} ratio \
-             w1/w{}={:.2} parks={parks} gates={gates} blocks={blocks} windows={windows}",
+             w1/w{}={:.2} parks={parks} gates={gates} blocks={blocks} windows={windows} \
+             widened={widened} deferred={deferred}",
             protocol.label(),
             walls.join(" "),
             widest.workers,
@@ -149,6 +152,8 @@ pub fn identity_matrix(ctx: &mut Ctx, min_timed_secs: f64) {
                 .val("gates", gates)
                 .val("blocks", blocks)
                 .val("windows", windows)
+                .val("widened", widened)
+                .val("deferred", deferred)
                 .val("wakes", by_workers(&timed, |t| t.wakes.to_string()))
                 .finish(),
         );

@@ -9,10 +9,22 @@
 //! and the gate body executes only when every peer is parked, one gate at a
 //! time, in ascending `(virtual time, proc id, per-proc seq)` order.
 //!
+//! The schedule is defined one quantum ([`QUANTUM_NS`]) at a time: a
+//! window's gates run once every processor inside it has parked at its end
+//! or at a gate. Windows that close with no gate granted make the next one
+//! wider (up to `MAX_WINDOW_QUANTA`, 32 quanta), so gate-free stretches
+//! cost one release instead of one per quantum. The gate order stays the
+//! quantum schedule's: each gate carries its processor's *position* (the
+//! virtual time of its last checkpoint or gate exit), a widened window's
+//! first gate phase pulls the horizon back to the end of the quantum that
+//! holds the earliest position, and gates positioned beyond it are deferred
+//! until a window covers them (DESIGN.md §15.2).
+//!
 //! Determinism argument (the full version is DESIGN.md §15): every
 //! scheduling decision — which gate runs next, where the next window ends,
-//! which processors it releases — is a pure function of the multiset of
-//! parked states, never of host timing or the worker count. Shared protocol
+//! where a widened one retreats to, which processors it releases — is a
+//! pure function of the multiset of parked states, never of host timing or
+//! the worker count. Shared protocol
 //! state is mutated only inside gates, and gates run only when no processor
 //! is free-running, so the frozen-state a free-running segment reads is the
 //! same under any host interleaving. The worker bound changes only *when*
@@ -44,9 +56,10 @@ use cashmere_sim::{HorizonClock, Nanos, WakeSlot};
 use parking_lot::{Mutex, MutexGuard};
 
 /// What a blocked processor is waiting on, keyed by carrier pool index.
-/// `unblock_all` with the same key re-arms every matching waiter as a
-/// pending gate at its original virtual time (with a fresh seq, so re-tries
-/// order deterministically after first arrivals).
+/// `unblock_all` with the same key re-arms matching waiters as pending
+/// gates at their original virtual time (with a fresh seq, so re-tries
+/// order deterministically after first arrivals): every waiter of a barrier
+/// or a flag, the earliest waiter of a lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaitKey {
     /// Waiting for `CarrierLock` *index* to be released.
@@ -68,6 +81,10 @@ enum PState {
     Parked(Nanos),
     /// Parked at a gate entry: `(vt, seq)`; runs when granted.
     AtGate(Nanos, u64),
+    /// A gate entered beyond the end a widened window retreated to:
+    /// `(vt, seq)`. Counts as parked at its position (`DetState::pos`) until
+    /// a window covers that, then is an `AtGate` again.
+    Deferred(Nanos, u64),
     /// Blocked inside a gate on a carrier; re-armed by `unblock_all`.
     Blocked(Nanos, WaitKey),
     /// Ran to completion.
@@ -88,6 +105,10 @@ pub struct DetStats {
     pub blocks: u64,
     /// Windows opened.
     pub windows: u64,
+    /// Windows opened more than one quantum wide.
+    pub widened: u64,
+    /// Gates deferred when a widened window retreated.
+    pub deferred: u64,
     /// Wake-ups issued to other processors' slots.
     pub wakes: u64,
 }
@@ -97,6 +118,18 @@ struct DetState {
     procs: Vec<PState>,
     /// Per-proc gate sequence numbers (third tie-break component).
     seq: Vec<u64>,
+    /// Per-proc gate position: where the processor's last checkpoint or
+    /// gate exit left it when it entered its current gate. Decides which
+    /// quantum's gate phase grants the gate.
+    pos: Vec<Nanos>,
+    /// The next window's width in quanta: doubled by each window that
+    /// closes with no gate granted (up to [`MAX_WINDOW_QUANTA`]), one after
+    /// any gate.
+    width: Nanos,
+    /// A gate was granted since the last window opened.
+    gated: bool,
+    /// The current window is widened and has not had a gate phase yet.
+    wide: bool,
     /// Released processors that have not parked again (includes the granted
     /// one). All scheduling decisions happen at `runners == 0`.
     runners: usize,
@@ -123,6 +156,12 @@ impl DetState {
         self.handoff.push(p);
     }
 
+    /// Re-arms blocked processor `p` as a pending gate at `vt`.
+    fn rearm(&mut self, p: usize, vt: Nanos) {
+        self.seq[p] += 1;
+        self.procs[p] = PState::AtGate(vt, self.seq[p]);
+    }
+
     /// The earliest pending gate by `(vt, id, seq)`.
     fn next_gate(&self) -> Option<usize> {
         self.procs
@@ -142,6 +181,10 @@ impl DetState {
 /// enough to keep processors' virtual times loosely synchronized at
 /// protocol boundaries.
 pub const QUANTUM_NS: Nanos = 50_000;
+
+/// The widest window, in quanta (1.6 ms at [`QUANTUM_NS`]): how far a
+/// gate-free stretch lets windows grow.
+const MAX_WINDOW_QUANTA: Nanos = 32;
 
 /// The conservative virtual-time scheduler for one run.
 pub struct DetScheduler {
@@ -168,6 +211,10 @@ impl DetScheduler {
             state: Mutex::new(DetState {
                 procs: vec![PState::Running; nprocs],
                 seq: vec![0; nprocs],
+                pos: vec![0; nprocs],
+                width: 1,
+                gated: true,
+                wide: false,
                 runners: nprocs,
                 granted: None,
                 release_queue: VecDeque::with_capacity(nprocs),
@@ -203,6 +250,7 @@ impl DetScheduler {
         DetHandle {
             sched: Arc::clone(self),
             id,
+            pos: Cell::new(0),
             woken: Cell::new(Vec::with_capacity(self.workers.min(self.nprocs))),
         }
     }
@@ -213,10 +261,10 @@ impl DetScheduler {
         self.horizon.past(vt)
     }
 
-    /// One released processor has parked (in whatever state the caller just
-    /// recorded): refill its worker slot from the release queue, and run the
-    /// coordinator if it was the last runner.
-    fn retire_runner(&self, st: &mut DetState) {
+    /// One released processor, `me`, has parked (in whatever state the
+    /// caller just recorded): refill its worker slot from the release queue,
+    /// and run the coordinator if it was the last runner.
+    fn retire_runner(&self, st: &mut DetState, me: usize) {
         st.runners -= 1;
         while st.runners < self.workers {
             let Some(p) = st.release_queue.pop_front() else {
@@ -225,25 +273,39 @@ impl DetScheduler {
             st.release(p);
         }
         if st.runners == 0 {
-            self.coordinate(st);
+            self.coordinate(st, me);
         }
     }
 
     /// The scheduling decision point, reached only when every processor is
-    /// parked. Everything here is a pure function of the parked multiset.
-    fn coordinate(&self, st: &mut DetState) {
+    /// parked; `me` is the processor deciding. Everything here is a pure
+    /// function of the parked multiset.
+    fn coordinate(&self, st: &mut DetState, me: usize) {
         debug_assert_eq!(st.runners, 0);
         debug_assert!(st.granted.is_none());
         debug_assert!(st.release_queue.is_empty());
 
-        // 1. Drain pending gates, earliest (vt, id, seq) first.
-        if let Some(p) = st.next_gate() {
-            st.granted = Some(p);
-            st.release(p);
-            return;
+        if st.next_gate().is_none() {
+            self.open_window(st, me);
+            if st.runners > 0 || st.finished == self.nprocs {
+                return;
+            }
+            // The window covers deferred gates and no parked processor.
         }
+        if std::mem::take(&mut st.wide) {
+            self.retreat(st);
+        }
+        // Drain pending gates, earliest (vt, id, seq) first.
+        let p = st.next_gate().expect("a gate phase has a pending gate");
+        st.gated = true;
+        st.granted = Some(p);
+        st.release(p);
+    }
 
-        // 2. No gates pending: open the next window over the parked set.
+    /// No gate pending: opens the next window over the parked processors
+    /// and the deferred gates, and releases the processors it covers —
+    /// `me` first, so a decider that runs on wakes nobody for itself.
+    fn open_window(&self, st: &mut DetState, me: usize) {
         let mut parked = std::mem::take(&mut st.parked);
         parked.clear();
         parked.extend(st.procs.iter().enumerate().filter_map(|(p, s)| match *s {
@@ -251,28 +313,89 @@ impl DetScheduler {
             _ => None,
         }));
         parked.sort_unstable();
-        let Some(&(min_vt, _)) = parked.first() else {
+        let first_deferred = (0..self.nprocs)
+            .filter(|&p| matches!(st.procs[p], PState::Deferred(..)))
+            .map(|p| st.pos[p])
+            .min();
+        let first_parked = parked.first().map(|&(vt, _)| vt);
+        let Some(min_vt) = first_parked.into_iter().chain(first_deferred).min() else {
             if st.finished == self.nprocs {
                 // The run is over; nothing is left to schedule.
                 return;
             }
             self.abort_deadlocked(st);
         };
+        st.wide = false;
         if self.horizon.past(min_vt) {
-            self.horizon.advance_past(min_vt);
+            // Gate-free windows double the next one; any gate resets it.
+            st.width = if st.gated {
+                1
+            } else {
+                (2 * st.width).min(MAX_WINDOW_QUANTA)
+            };
+            let first = self.horizon.quantum_end(min_vt);
+            let mut end = first + (st.width - 1) * self.horizon.quantum();
+            // A known gate bounds the window: the first gate phase would
+            // pull the end back to its quantum anyway.
+            if let Some(pos) = first_deferred {
+                end = end.min(self.horizon.quantum_end(pos));
+            }
+            self.horizon.set_end(end);
+            st.wide = end > first;
+            st.stats.widened += u64::from(st.wide);
         }
+        st.gated = false;
         let end = self.horizon.end();
+        for p in 0..self.nprocs {
+            if let PState::Deferred(vt, seq) = st.procs[p] {
+                if st.pos[p] < end {
+                    st.procs[p] = PState::AtGate(vt, seq);
+                }
+            }
+        }
         // Beyond the window: stays parked for a later one.
+        let covers_me = matches!(st.procs[me], PState::Parked(vt) if vt < end);
+        if covers_me {
+            st.release(me);
+        }
         for &(_, p) in parked.iter().take_while(|&&(vt, _)| vt < end) {
+            if p == me {
+                continue;
+            }
             if st.runners < self.workers {
                 st.release(p);
             } else {
                 st.release_queue.push_back(p);
             }
         }
-        debug_assert!(st.runners > 0, "window covers no parked processor");
         st.stats.windows += 1;
         st.parked = parked;
+    }
+
+    /// The first gate phase of a widened window: gates are granted in the
+    /// quantum schedule's order, so the window ends after all with the
+    /// quantum that holds the earliest gate position. Every processor is
+    /// parked, so the horizon may move back; gates positioned beyond it are
+    /// deferred until a window covers them.
+    fn retreat(&self, st: &mut DetState) {
+        let first = (0..self.nprocs)
+            .filter(|&p| matches!(st.procs[p], PState::AtGate(..)))
+            .map(|p| st.pos[p])
+            .min()
+            .expect("a gate phase has a pending gate");
+        let end = self.horizon.quantum_end(first);
+        if end >= self.horizon.end() {
+            return;
+        }
+        self.horizon.set_end(end);
+        for p in 0..self.nprocs {
+            if let PState::AtGate(vt, seq) = st.procs[p] {
+                if st.pos[p] >= end {
+                    st.procs[p] = PState::Deferred(vt, seq);
+                    st.stats.deferred += 1;
+                }
+            }
+        }
     }
 
     /// Leaves a wait: if the coordinator aborted the run meanwhile, with
@@ -320,7 +443,7 @@ impl DetScheduler {
     }
 
     /// The coordinator's grant selection over the current parked multiset,
-    /// exposed for the hotpath rows: `coordinate` step 1's scan, changing
+    /// exposed for the hotpath rows: `coordinate`'s grant scan, changing
     /// nothing.
     #[doc(hidden)]
     #[must_use]
@@ -344,16 +467,21 @@ impl DetScheduler {
 pub struct DetHandle {
     sched: Arc<DetScheduler>,
     id: usize,
+    /// This processor's position: the virtual time of its last checkpoint
+    /// or gate exit. Only its own thread touches it.
+    pos: Cell<Nanos>,
     /// This processor's empty buffer to swap against the scheduler's
     /// hand-off list (see `yield_turn`).
     woken: Cell<Vec<usize>>,
 }
 
 impl DetHandle {
-    /// Operation-entry checkpoint: park if the lookahead horizon has been
-    /// reached. The common case is a single atomic load.
+    /// Operation-entry checkpoint: records the position, and parks if the
+    /// lookahead horizon has been reached. The common case is one
+    /// thread-local store and one atomic load.
     #[inline]
     pub fn checkpoint(&self, vt: Nanos) {
+        self.pos.set(vt);
         if self.sched.must_park(vt) {
             self.park(vt);
         }
@@ -381,12 +509,14 @@ impl DetHandle {
     }
 
     /// Enters a gate at `vt`: blocks until every peer is parked and this
-    /// processor's `(vt, id, seq)` is the earliest pending gate.
+    /// processor's `(vt, id, seq)` is the earliest pending gate of the
+    /// quantum that holds its position.
     pub fn gate_enter(&self, vt: Nanos) {
         let mut st = self.sched.state.lock();
         debug_assert_ne!(st.granted, Some(self.id), "nested gate");
         st.seq[self.id] += 1;
         st.procs[self.id] = PState::AtGate(vt, st.seq[self.id]);
+        st.pos[self.id] = self.pos.get();
         st.stats.gates += 1;
         self.yield_turn(st);
     }
@@ -398,6 +528,7 @@ impl DetHandle {
         debug_assert_eq!(st.granted, Some(self.id), "gate_exit outside a gate");
         st.granted = None;
         st.procs[self.id] = PState::Parked(vt);
+        self.pos.set(vt);
         self.yield_turn(st);
     }
 
@@ -415,18 +546,32 @@ impl DetHandle {
         self.yield_turn(st);
     }
 
-    /// From inside a gate: re-arms every processor blocked on `key` as a
-    /// pending gate at its original virtual time with a fresh seq. The
+    /// From inside a gate: re-arms the processors blocked on `key` as
+    /// pending gates at their original virtual time with a fresh seq. The
     /// grants happen later, one at a time, once this gate ends.
+    ///
+    /// A lock re-arms only its earliest waiter by `(vt, id)`: the others'
+    /// re-grants could only block again, since the new holder cannot
+    /// release before this gate phase ends, and seq never orders two
+    /// processors. A barrier or a flag lets every waiter through.
     pub fn unblock_all(&self, key: WaitKey) {
-        let mut guard = self.sched.state.lock();
-        let st = &mut *guard;
+        let mut st = self.sched.state.lock();
         debug_assert!(st.granted.is_some(), "unblock_all outside a gate");
-        for (p, s) in st.procs.iter_mut().enumerate() {
-            if let PState::Blocked(vt, k) = *s {
-                if k == key {
-                    st.seq[p] += 1;
-                    *s = PState::AtGate(vt, st.seq[p]);
+        let waiting = |s: PState| match s {
+            PState::Blocked(vt, k) if k == key => Some(vt),
+            _ => None,
+        };
+        if let WaitKey::Lock(_) = key {
+            let earliest = (0..self.sched.nprocs)
+                .filter_map(|p| waiting(st.procs[p]).map(|vt| (vt, p)))
+                .min();
+            if let Some((vt, p)) = earliest {
+                st.rearm(p, vt);
+            }
+        } else {
+            for p in 0..self.sched.nprocs {
+                if let Some(vt) = waiting(st.procs[p]) {
+                    st.rearm(p, vt);
                 }
             }
         }
@@ -449,7 +594,7 @@ impl DetHandle {
     /// on its own slot until some later decision releases it.
     fn yield_turn(&self, mut st: MutexGuard<'_, DetState>) {
         let sched = &*self.sched;
-        sched.retire_runner(&mut st);
+        sched.retire_runner(&mut st, self.id);
         let mut woken = self.woken.take();
         std::mem::swap(&mut st.handoff, &mut woken);
         let released_self = woken.contains(&self.id);
@@ -529,13 +674,15 @@ mod tests {
 
     #[test]
     fn blocked_procs_reacquire_in_vt_order() {
-        // A 1-slot "carrier" lock: procs 1 and 2 block until proc 0's gate
-        // releases it; proc 1 (earlier gate vt) must win the re-grant race,
-        // and proc 2 acquires only after proc 1 releases in turn.
-        let sched = Arc::new(DetScheduler::new(3, 8, 1_000));
+        // A 1-slot "carrier" lock: procs 1, 2 and 3 block until proc 0's
+        // gate releases it; they must acquire in gate-vt order, each only
+        // after the one before releases in turn. Each release re-arms only
+        // the earliest waiter, so every waiter blocks exactly once: 3
+        // blocks, where re-arming every waiter would make 6.
+        let sched = Arc::new(DetScheduler::new(4, 8, 1_000));
         let held = Arc::new(Mutex::new(true));
         let log = Arc::new(Mutex::new(Vec::new()));
-        let bodies: Vec<ProcBody> = (0..3)
+        let bodies: Vec<ProcBody> = (0..4)
             .map(|p| {
                 let held = Arc::clone(&held);
                 let log = Arc::clone(&log);
@@ -548,7 +695,7 @@ mod tests {
                         h.gate_exit(50);
                         return;
                     }
-                    let vt = 10 * p as u64; // proc 1 at 10, proc 2 at 20
+                    let vt = 10 * p as u64; // procs 1, 2, 3 at 10, 20, 30
                     h.gate_enter(vt);
                     loop {
                         let mut s = held.lock();
@@ -562,7 +709,7 @@ mod tests {
                         h.gate_block(vt, WaitKey::Lock(0));
                     }
                     h.gate_exit(vt);
-                    // Release in a second gate so the other waiter can run.
+                    // Release in a second gate so the next waiter can run.
                     h.gate_enter(vt + 5);
                     *held.lock() = false;
                     h.unblock_all(WaitKey::Lock(0));
@@ -571,7 +718,50 @@ mod tests {
             })
             .collect();
         run_procs(&sched, bodies);
-        assert_eq!(*log.lock(), vec![1, 2]);
+        assert_eq!(*log.lock(), vec![1, 2, 3]);
+        assert_eq!(sched.stats().blocks, 3);
+    }
+
+    #[test]
+    fn widened_window_grants_gates_in_quantum_order() {
+        // Quantum 100. Both processors cross checkpoints every 10 ns with
+        // no gate, so windows widen: [0,100), [100,300), [300,700),
+        // [700,1500). In that last one proc 0 gates at position 1050 but
+        // virtual time 2000 (charges between its checkpoint and its gate),
+        // proc 1 at position 1250 and virtual time 1260. One quantum at a
+        // time, proc 0's gate is granted in the gate phase of the quantum
+        // ending at 1100 and proc 1's in the one ending at 1300 — so proc 0
+        // first, though its gate vt is later. The widened window must
+        // retreat to 1100 and defer proc 1's gate until a window covers
+        // 1250.
+        for workers in [1, 2] {
+            let sched = Arc::new(DetScheduler::new(2, workers, 100));
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let bodies: Vec<ProcBody> = (0..2)
+                .map(|p| {
+                    let (sched, log) = (Arc::clone(&sched), Arc::clone(&log));
+                    Box::new(move |h: &DetHandle| {
+                        let (last, gate_vt) = [(1_050, 2_000), (1_250, 1_260)][p];
+                        for vt in (0..=last).step_by(10) {
+                            h.checkpoint(vt);
+                        }
+                        h.gate_enter(gate_vt);
+                        log.lock().push((p, sched.horizon.end()));
+                        h.gate_exit(gate_vt);
+                    }) as Box<dyn FnOnce(&DetHandle) + Send>
+                })
+                .collect();
+            run_procs(&sched, bodies);
+            assert_eq!(
+                *log.lock(),
+                vec![(0, 1_100), (1, 1_300)],
+                "{workers} workers"
+            );
+            // Widened: the three above, and [2000,2200) where proc 0 runs
+            // out after the gate-free window that let proc 1 finish.
+            let st = sched.stats();
+            assert_eq!((st.widened, st.deferred), (4, 1), "{workers} workers");
+        }
     }
 
     #[test]

@@ -163,7 +163,9 @@ fn det_scheduler_steady_state_is_allocation_free() {
         // list (reserved on first use).
         det_burst(p, mine, 5_000);
         let before = allocs();
-        det_burst(p, mine, 20_000);
+        // Long enough to cross over a thousand windows even though
+        // gate-free stretches widen them up to 32 quanta.
+        det_burst(p, mine, 200_000);
         burst_allocs.fetch_add(allocs() - before, Ordering::SeqCst);
     });
     let st = cluster.det_stats();

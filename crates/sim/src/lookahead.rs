@@ -4,7 +4,8 @@
 //! "how far has this processor advanced?", the [`HorizonClock`] answers "how
 //! far may any processor advance before it must park?". The deterministic
 //! scheduler (`cashmere-core`'s `det` module) opens execution windows by
-//! advancing the horizon one quantum at a time; simulated processors consult
+//! moving the horizon in whole quanta — one at a time while processors gate,
+//! several at once across gate-free stretches; simulated processors consult
 //! it lock-free on every operation entry and park once their virtual time
 //! reaches the window end.
 //!
@@ -144,6 +145,28 @@ impl HorizonClock {
         new_end
     }
 
+    /// Moves the window end to `end`, forward or back, then broadcasts
+    /// like [`advance_past`](Self::advance_past). The deterministic
+    /// scheduler's coordinator widens a window with it and pulls a widened
+    /// one back to the quantum of its earliest gate.
+    ///
+    /// Coordinator-only: a retreat is safe only while no processor runs —
+    /// one between its load of the end and its park could otherwise keep
+    /// running past the new end. The scheduler calls it under its lock with
+    /// every processor parked.
+    pub fn set_end(&self, end: Nanos) {
+        debug_assert_eq!(end % self.quantum, 0, "window ends are quantum multiples");
+        self.end.store(end, Ordering::Release);
+        self.sleep_epoch.fetch_add(1, Ordering::Release);
+    }
+
+    /// The end of the quantum that holds `vt`: the smallest quantum
+    /// multiple strictly past it.
+    #[must_use]
+    pub fn quantum_end(&self, vt: Nanos) -> Nanos {
+        (vt / self.quantum + 1).saturating_mul(self.quantum)
+    }
+
     /// The mutant of [`advance_past`] with the two stores swapped (wakeup
     /// broadcast before the horizon bump). Kept compiled so the
     /// `model_lookahead_*` tests can prove the explorer catches the lost
@@ -181,8 +204,7 @@ impl HorizonClock {
     /// The smallest quantum multiple strictly past `vt`, floored at the
     /// current end so the horizon never retreats.
     fn cover(&self, vt: Nanos) -> Nanos {
-        let target = (vt / self.quantum + 1).saturating_mul(self.quantum);
-        self.end().max(target)
+        self.end().max(self.quantum_end(vt))
     }
 }
 
@@ -281,6 +303,18 @@ mod tests {
         assert_eq!(hc.advance_past(995), 1000);
         assert_eq!(hc.advance_past(5), 1000);
         assert_eq!(hc.end(), 1000);
+    }
+
+    #[test]
+    fn set_end_moves_either_way_and_wakes() {
+        let hc = HorizonClock::new(100);
+        hc.set_end(800);
+        assert!(!hc.past(799));
+        hc.set_end(300);
+        assert!(hc.past(300));
+        assert_eq!(hc.quantum_end(250), 300);
+        assert_eq!(hc.quantum_end(300), 400);
+        assert_eq!(hc.sleep_epoch(), 2);
     }
 
     #[test]
